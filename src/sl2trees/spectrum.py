@@ -1,30 +1,22 @@
 """Marked length spectra over shortlex balls, with TSV export.
 
 The spectrum pairs every freely reduced word up to a length bound with
-its translation length.  Word evaluation runs on integer-scaled matrices
-(one 2x2 integer product per word, denominators tracked separately), so
-the enumeration stays exact without per-step rational normalization.
+its translation length, walking the ball level by level in shortlex
+order (words.ball_walk): one exact 2x2 integer product per word on its
+prefix's image, denominators kept only as valuations, and no final sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .classify import Representation
 from .errors import ShapeMismatchError
 from .field import _val_int
 from .traces import FundamentalTraceVector, variable_name
-from .words import (
-    DEFAULT_WORD_CAP,
-    Word,
-    ball_size,
-    letter_alphabet,
-    word_sort_key,
-    word_to_text,
-)
-from .errors import CapExceededError
+from .words import DEFAULT_WORD_CAP, Word, ball_walk, check_ball, word_texts
 
 
 def length_of(rep: Representation, w: Word) -> int:
@@ -44,19 +36,6 @@ class LengthSpectrum:
     fingerprint: FundamentalTraceVector
 
 
-def _scaled_letter_matrices(rep: Representation) -> Dict[int, Tuple[Tuple[int, int, int, int], int]]:
-    """Each signed letter as (integer matrix, denominator)."""
-    out: Dict[int, Tuple[Tuple[int, int, int, int], int]] = {}
-    for i, m in enumerate(rep.matrices, start=1):
-        den = math.lcm(
-            m.a.denominator, m.b.denominator, m.c.denominator, m.d.denominator
-        )
-        a, b, c, d = (int(x * den) for x in (m.a, m.b, m.c, m.d))
-        out[i] = ((a, b, c, d), den)
-        out[-i] = ((d, -b, -c, a), den)  # adjugate: exact inverse up to 1/den
-    return out
-
-
 def spectrum(
     rep: Representation,
     max_len: int,
@@ -64,50 +43,43 @@ def spectrum(
 ) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order.
 
-    Each word costs one integer 2x2 product on top of its prefix; the
-    length needs only the valuation of the unreduced trace, so no
-    fraction normalization happens in the loop.
+    A word's image is its prefix's times one letter, as integer matrices
+    whose denominators are tracked only by their valuation v; the length
+    needs only v(trace) against that v.
     """
     presentation = rep.presentation
-    predicted = ball_size(presentation.rank, max_len)
-    if predicted > max_words:
-        raise CapExceededError(
-            f"spectrum would hold {predicted} words, cap is {max_words}"
-        )
+    check_ball(presentation.rank, max_len, max_words, "spectrum")
     p = rep.context.p
-    letters = letter_alphabet(presentation.rank)
-    gens = _scaled_letter_matrices(rep)
-    results: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-    stack: List[Tuple[Tuple[int, ...], Tuple[int, int, int, int], int]] = [
-        ((), (1, 0, 0, 1), 1)
-    ]
-    while stack:
-        prefix, (a, b, c, d), den = stack.pop()
-        last = prefix[-1] if prefix else 0
-        for lt in letters:
-            if lt == -last:
-                continue
-            (e, f, g, h), dl = gens[lt]
-            na, nb = a * e + b * g, a * f + b * h
-            nc, nd = c * e + d * g, c * f + d * h
-            nden = den * dl
-            grown = prefix + (lt,)
-            tr = na + nd
-            if tr == 0:
-                ell = 0
-            else:
-                v = _val_int(tr, p) - _val_int(nden, p)
-                ell = 0 if v >= 0 else -2 * v
-            results.append((grown, ell))
-            if len(grown) < max_len:
-                stack.append((grown, (na, nb, nc, nd), nden))
-    results.sort(key=lambda item: word_sort_key(item[0]))
-    entries = tuple((Word(ls), ell) for ls, ell in results)
+    gens = {}
+    for i, m in enumerate(rep.matrices, start=1):
+        den = math.lcm(
+            m.a.denominator, m.b.denominator, m.c.denominator, m.d.denominator
+        )
+        a, b, c, d = (int(x * den) for x in (m.a, m.b, m.c, m.d))
+        v = _val_int(den, p)
+        gens[i] = (a, b, c, d, v)
+        gens[-i] = (d, -b, -c, a, v)  # adjugate: exact inverse up to 1/den
+
+    def step(m, x):
+        a, b, c, d, v = m
+        e, f, g, h, vl = gens[x]
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                v + vl)
+
+    entries: List[Tuple[Word, int]] = [(Word(()), 0)]
+    walk = ball_walk(presentation.rank, max_len, (1, 0, 0, 1, 0), step)
+    for w, (a, _, _, d, v) in walk:
+        # length -2 min(0, v(tr) - v): strip at most v factors of p
+        tr, k = a + d, 0
+        while k < v and tr % p == 0:
+            tr //= p
+            k += 1
+        entries.append((w, 2 * (v - k)))
     return LengthSpectrum(
         presentation=presentation,
         prime=p,
         max_len=max_len,
-        entries=entries,
+        entries=tuple(entries),
         fingerprint=rep.fundamental(),
     )
 
@@ -157,6 +129,6 @@ def to_tsv(spec: LengthSpectrum) -> str:
     for key, value in spec.fingerprint.ordered():
         lines.append(f"# fingerprint\t{variable_name(key)}\t{value}")
     lines.append("word\tlength")
-    for w, ell in spec.entries:
-        lines.append(f"{word_to_text(w, spec.presentation)}\t{ell}")
+    texts = word_texts((w for w, _ in spec.entries), spec.presentation)
+    lines.extend(f"{t}\t{ell}" for t, (_, ell) in zip(texts, spec.entries))
     return "\n".join(lines) + "\n"

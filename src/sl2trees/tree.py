@@ -90,7 +90,10 @@ def parse_vertex(text: str, context: PrimeContext) -> TreeVertex:
     m = _VERTEX_RE.match(text.strip())
     if not m:
         raise ValidationError(f"vertex literal must look like '(n; c)': {text!r}")
-    return TreeVertex(int(m.group(1)), Fraction(m.group(2)), context)
+    try:
+        return TreeVertex(int(m.group(1)), Fraction(m.group(2)), context)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in vertex {text!r}") from None
 
 
 def vertex_type(v: TreeVertex) -> int:

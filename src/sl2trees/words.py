@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     CapExceededError,
@@ -26,7 +26,7 @@ _NAME_RE = re.compile(r"^[a-z][a-z0-9]*$")
 DEFAULT_WORD_CAP = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """An immutable word over signed 1-based generator indices."""
 
@@ -62,7 +62,11 @@ class Word:
         return f"Word({self.letters})"
 
 
-IDENTITY_WORD = Word(())
+def _trusted_word(letters: Tuple[int, ...]) -> Word:
+    """A Word over letters known to be nonzero ints, built unchecked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def _reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -177,8 +181,9 @@ class Presentation:
 
 # -- parsing ------------------------------------------------------------
 
+# "1" lexes as an int, so ^10 stays whole; as a term it is the empty word.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[a-z][a-z0-9]*)|(?P<one>1)|(?P<prime>')|(?P<caret>\^)"
+    r"\s*(?:(?P<name>[a-z][a-z0-9]*)|(?P<prime>')|(?P<caret>\^)"
     r"|(?P<int>[+-]?\d+)|(?P<open>\()|(?P<close>\)))"
 )
 
@@ -220,9 +225,15 @@ class _Parser:
             tok = self.peek()
             if tok is None or (stop_at_close and tok[0] == "close"):
                 return letters
-            letters.extend(self.parse_term())
+            base, power = self.parse_term()
+            n = len(letters) + len(base) * power
+            if n > DEFAULT_WORD_CAP:
+                raise CapExceededError(
+                    f"word would have {n} letters, cap is {DEFAULT_WORD_CAP}")
+            letters.extend(base * power)
 
-    def parse_term(self) -> List[int]:
+    def parse_term(self) -> Tuple[List[int], int]:
+        """One term as (letters, power), the power left unexpanded."""
         tok = self.take()
         if tok is None:
             raise WordSyntaxError("unexpected end of input", self.length)
@@ -235,7 +246,7 @@ class _Parser:
             if nxt is not None and nxt[0] == "prime":
                 self.take()
                 base = [-base[0]]
-        elif kind == "one":
+        elif kind == "int" and value == "1":
             base = []
         elif kind == "open":
             base = self.parse_word(stop_at_close=True)
@@ -244,6 +255,7 @@ class _Parser:
                 raise WordSyntaxError("unbalanced '('", at)
         else:
             raise WordSyntaxError(f"unexpected token {value!r}", at)
+        power = 1
         nxt = self.peek()
         if nxt is not None and nxt[0] == "caret":
             self.take()
@@ -255,8 +267,7 @@ class _Parser:
             if power < 0:
                 base = [-x for x in reversed(base)]
                 power = -power
-            base = base * power
-        return base
+        return base, power
 
 
 def parse_word(text: str, presentation: Presentation) -> Word:
@@ -273,17 +284,23 @@ def parse_word(text: str, presentation: Presentation) -> Word:
     return Word(tuple(letters))
 
 
+def word_texts(ws: Iterable[Word], presentation: Presentation) -> Iterator[str]:
+    """Canonical text of each word: spaced letter names, "1" if empty."""
+    gens = presentation.generators
+    names = {x: gens[abs(x) - 1] + ("" if x > 0 else "'")
+             for x in letter_alphabet(len(gens))}
+    for w in ws:
+        try:
+            text = " ".join([names[x] for x in w.letters]) if w.letters else "1"
+        except KeyError as exc:
+            raise UnknownGeneratorError(
+                f"letter {exc.args[0]} outside rank {len(gens)}") from None
+        yield text
+
+
 def word_to_text(w: Word, presentation: Presentation) -> str:
-    """Canonical text: letters separated by spaces, "1" for the empty word."""
-    if not w.letters:
-        return "1"
-    parts = []
-    for x in w.letters:
-        if abs(x) > presentation.rank:
-            raise UnknownGeneratorError(f"letter {x} outside rank {presentation.rank}")
-        name = presentation.generators[abs(x) - 1]
-        parts.append(name if x > 0 else name + "'")
-    return " ".join(parts)
+    """Canonical text of one word."""
+    return next(word_texts((w,), presentation))
 
 
 # -- evaluation ---------------------------------------------------------
@@ -307,18 +324,11 @@ def evaluate(w: Word, matrices: Sequence[SL2Matrix]) -> SL2Matrix:
 
 def letter_alphabet(rank: int) -> Tuple[int, ...]:
     """Signed letters in shortlex order: +1, -1, +2, -2, ..."""
-    out: List[int] = []
-    for i in range(1, rank + 1):
-        out.extend((i, -i))
-    return tuple(out)
-
-
-def letter_sort_key(x: int) -> int:
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+    return tuple(s * i for i in range(1, rank + 1) for s in (1, -1))
 
 
 def word_sort_key(letters: Sequence[int]) -> Tuple:
-    return (len(letters), tuple(letter_sort_key(x) for x in letters))
+    return (len(letters), tuple(2 * abs(x) - (x > 0) for x in letters))
 
 
 def ball_size(rank: int, max_len: int) -> int:
@@ -328,6 +338,39 @@ def ball_size(rank: int, max_len: int) -> int:
         level = 2 * rank if k == 1 else level * (2 * rank - 1)
         total += level
     return total
+
+
+def check_ball(rank: int, max_len: int, max_words: int, what: str):
+    """Reject a negative bound, or a ball of more than max_words words."""
+    if max_len < 0:
+        raise ValidationError("max_len must be >= 0")
+    predicted = ball_size(rank, max_len)
+    if predicted > max_words:
+        raise CapExceededError(
+            f"{what} would hold {predicted} words, cap is {max_words}")
+
+
+def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[Word, object]]:
+    """(word, state) for each reduced word of length 1..max_len, shortlex.
+
+    Growing each level's sorted words by the alphabet, minus the inverse
+    of their last letter, keeps the next level sorted.  The empty word's
+    state is root and a child's is step(parent_state, letter).
+    """
+    alphabet = letter_alphabet(rank)
+    level = [((), root)]
+    for depth in range(max_len, 0, -1):
+        grown = []
+        for stem, state in level:
+            back = -stem[-1] if stem else 0
+            for x in alphabet:
+                if x != back:
+                    letters = stem + (x,)
+                    child = step(state, x)
+                    if depth > 1:
+                        grown.append((letters, child))
+                    yield _trusted_word(letters), child
+        level = grown
 
 
 def ball(
@@ -341,28 +384,9 @@ def ball(
     directly after its generator.  Relators are deliberately ignored:
     the ball is always the free-group ball over the generator alphabet.
     """
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
-    predicted = ball_size(presentation.rank, max_len)
-    if predicted > max_words:
-        raise CapExceededError(
-            f"ball would hold {predicted} words, cap is {max_words}"
-        )
-    alphabet = letter_alphabet(presentation.rank)
-    out = [Word(())]
-    level: List[Tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt: List[Tuple[int, ...]] = []
-        for stem in level:
-            last = stem[-1] if stem else 0
-            for x in alphabet:
-                if x == -last:
-                    continue
-                grown = stem + (x,)
-                nxt.append(grown)
-                out.append(Word(grown))
-        level = nxt
-    return out
+    check_ball(presentation.rank, max_len, max_words, "ball")
+    walk = ball_walk(presentation.rank, max_len, None, lambda state, x: None)
+    return [Word(())] + [w for w, _ in walk]
 
 
 # -- Dehn reduction ------------------------------------------------------

@@ -1,8 +1,20 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sl2trees import PrimeContext, SL2Matrix, save_representation
+import sl2trees
+from sl2trees import (
+    PrimeContext,
+    Presentation,
+    Representation,
+    SL2Matrix,
+    ball_size,
+    save_representation,
+)
 from sl2trees.cli import main
 
 from conftest import diag_rep, free2_rep, sl2z_pair, unbounded_irreducible_rep
@@ -146,6 +158,33 @@ def test_trace_poly_command(capsys):
     assert out == "-t12 + t1*t2\n"
 
 
+# sha256 of the TSV for genus2_rep() at L=4, frozen from an independent
+# depth-first enumeration sorted afterwards, so any change of row order or
+# of a length shows here.
+GENUS2_L4_SHA256 = "19756c4ecaef088f0a6cccf7508de9075b97734ca9bb8778ede4b52bbd5d8fef"
+
+
+def genus2_rep():
+    # a2 = b1 and b2 = a1, so [a1, b1][a2, b2] = 1 holds
+    a1 = SL2Matrix(((0, -1), (1, Fraction(7, 3))), CTX)
+    b1 = SL2Matrix(((Fraction(1, 3), 2), (Fraction(-1, 3), 1)), CTX)
+    return Representation(
+        Presentation.surface(2), {"a1": a1, "b1": b1, "a2": b1, "b2": a1}
+    )
+
+
+def test_spectrum_genus2_tsv_frozen(capsys, tmp_path):
+    path = tmp_path / "genus2.json"
+    save_representation(genus2_rep(), str(path))
+    target = tmp_path / "out.tsv"
+    code, out, err = run(
+        capsys, ["spectrum", str(path), "--max-len", "4", "--tsv", str(target)])
+    assert (code, out, err) == (0, "", "")
+    data = target.read_bytes()
+    assert data.count(b"\n") == 3 + 15 + 1 + ball_size(4, 4)
+    assert hashlib.sha256(data).hexdigest() == GENUS2_L4_SHA256
+
+
 def test_tree_ball_listing(capsys):
     code, out, err = run(
         capsys, ["tree", "ball", "--prime", "3", "--radius", "1"])
@@ -216,6 +255,19 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 1 and err.startswith("error: not valid JSON")
+
+
+def test_vertex_zero_denominator_fails_cleanly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2trees.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2trees.cli", "tree", "distance",
+         "--prime", "3", "(2; 1/0)", "(0; 0)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_two(capsys, rep_path):

@@ -10,6 +10,8 @@ from sl2trees import (
     Representation,
     ShapeMismatchError,
     SL2Matrix,
+    UnknownGeneratorError,
+    ValidationError,
     Word,
     ball,
     compare_spectra,
@@ -18,6 +20,8 @@ from sl2trees import (
     to_tsv,
     translation_length,
 )
+from sl2trees.spectrum import LengthSpectrum
+from sl2trees.words import word_sort_key
 
 from conftest import (
     diag_rep,
@@ -72,6 +76,26 @@ def test_spectrum_matches_length_of():
             assert l == translation_length(rep.evaluate(w))
 
 
+def test_spectrum_is_the_ball_in_shortlex_order():
+    rng = random.Random(6603)
+    a, b = random_noncommuting_pair(rng, CTX, steps=3)
+    c = random_sl2(rng, CTX, steps=3)
+    free3 = Representation(Presentation.free(3), {"a": a, "b": b, "c": c})
+    genus2 = Representation(
+        Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a})
+    for rep, max_len in ((free3, 4), (genus2, 3)):
+        words = [w for w, _ in spectrum(rep, max_len).entries]
+        assert words == ball(rep.presentation, max_len)
+        assert words == sorted(words, key=lambda w: word_sort_key(w.letters))
+
+
+def test_spectrum_max_len_zero_and_negative():
+    rep = unbounded_irreducible_rep(CTX)
+    assert spectrum(rep, 0).entries == ((Word(()), 0),)
+    with pytest.raises(ValidationError):
+        spectrum(rep, -1)
+
+
 def test_length_of_values():
     rep = unbounded_irreducible_rep(CTX)
     assert length_of(rep, Word(())) == 0
@@ -104,6 +128,14 @@ def test_spectrum_tsv_golden():
     s = spectrum(unbounded_irreducible_rep(CTX), 1)
     assert to_tsv(s) == EXPECTED_TSV
     assert to_tsv(spectrum(unbounded_irreducible_rep(CTX), 1)) == EXPECTED_TSV
+
+
+def test_tsv_rejects_letters_outside_rank():
+    s = spectrum(unbounded_irreducible_rep(CTX), 1)
+    bad = LengthSpectrum(s.presentation, s.prime, s.max_len,
+                         s.entries + ((Word((3,)), 0),), s.fingerprint)
+    with pytest.raises(UnknownGeneratorError):
+        to_tsv(bad)
 
 
 def test_spectrum_surface_presentation_header():

@@ -66,6 +66,8 @@ def test_vertex_text_and_parse_round_trip():
         parse_vertex("(2, 4)", CTX)
     with pytest.raises(ValidationError):
         parse_vertex("2; 4", CTX)
+    with pytest.raises(ValidationError):
+        parse_vertex("(2; 1/0)", CTX)
 
 
 def test_canonical_vertex_frozen():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,7 @@ from sl2trees import (
     parse_word,
     word_to_text,
 )
-from sl2trees.words import letter_alphabet, word_sort_key
+from sl2trees.words import DEFAULT_WORD_CAP, letter_alphabet, word_sort_key
 
 from conftest import random_integral_sl2
 
@@ -45,6 +46,34 @@ def test_parse_literal_examples():
     assert parse_word("a^0", FREE2).letters == ()
     assert parse_word("b'^2", FREE2).letters == (-2, -2)
     assert parse_word("(a (b a)^-1)^2", FREE2).letters == (1, -1, -2, 1, -1, -2)
+
+
+def test_parse_exponents_read_whole_integer():
+    assert parse_word("a^1", FREE2).letters == (1,)
+    assert parse_word("a^10", FREE2).letters == (1,) * 10
+    assert parse_word("(a b)^12", FREE2).letters == (1, 2) * 12
+    assert parse_word("a^21", FREE2).letters == (1,) * 21
+    assert parse_word("a^-1", FREE2).letters == (-1,)
+    assert parse_word("a 1 b", FREE2).letters == (1, 2)
+    assert parse_word("1^3", FREE2).letters == ()
+    with pytest.raises(WordSyntaxError):
+        parse_word("10", FREE2)
+
+
+def test_parse_exponent_expansion_is_capped():
+    assert len(parse_word(f"a^{DEFAULT_WORD_CAP}", FREE2)) == DEFAULT_WORD_CAP
+    with pytest.raises(CapExceededError):
+        parse_word("a^300000 b^300000", FREE2)
+    tracemalloc.start()
+    try:
+        for text in ("a^3000000", "(a b)^-1500000", "(a^1000)^1000",
+                     "a^99999999999999999999"):
+            with pytest.raises(CapExceededError):
+                parse_word(text, FREE2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, "the expanded word was built before the check"
 
 
 def test_parse_surface_names():
@@ -179,6 +208,9 @@ def test_ball_shortlex_order():
 def test_ball_cap():
     with pytest.raises(CapExceededError):
         ball(FREE2, 10, max_words=100)
+    assert ball(FREE2, 0) == [Word(())]
+    with pytest.raises(ValidationError):
+        ball(FREE2, -1)
 
 
 def test_ball_ignores_relators():
