@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -22,10 +22,13 @@ from .errors import (
 )
 from .field import PrimeContext, ValuedRational, _val_fraction
 from .isometry import rational_eigenlines
-from .matrices import SL2Matrix
+from .matrices import (
+    IDENTITY, SL2Matrix, inv2, letter_table, mul2, scaled_mul)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
 from .tree import TreeVertex, canonical_vertex
-from .words import Presentation, Word, ball, evaluate, word_to_text
+from .words import (
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
+    check_ball, evaluate_with, word_to_text)
 
 Line = Tuple[int, int]
 
@@ -35,7 +38,8 @@ class Representation:
     """A presentation together with one SL(2) matrix per generator.
 
     Relators are checked to evaluate to the exact identity matrix, so a
-    constructed Representation really is a homomorphism.
+    constructed Representation really is a homomorphism.  Its scaled
+    letter table is built once, and the frozen object keeps it valid.
     """
 
     presentation: Presentation
@@ -49,14 +53,12 @@ class Representation:
                 f"assignment names {[k for k, _ in pairs]} do not match "
                 f"generators {list(presentation.generators)}"
             )
-        contexts = {m.context for _, m in pairs}
-        if len(contexts) != 1:
-            raise ContextMismatchError("generator matrices disagree on the prime")
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "assignment", pairs)
+        object.__setattr__(self, "_letters", letter_table(self.matrices))
         identity = SL2Matrix.identity(self.context)
         for relator in presentation.relators:
-            if evaluate(relator, self.matrices) != identity:
+            if self.evaluate(relator) != identity:
                 raise ValidationError(
                     "relator does not evaluate to the identity: "
                     f"{word_to_text(relator, presentation)}"
@@ -75,7 +77,7 @@ class Representation:
         return dict(self.assignment)[name]
 
     def evaluate(self, w: Word) -> SL2Matrix:
-        return evaluate(w, self.matrices)
+        return evaluate_with(w, self._letters, self.context)
 
     def trace(self, w: Word) -> ValuedRational:
         return self.evaluate(w).trace()
@@ -179,31 +181,20 @@ def fixed_lattice_certificate(
         ((Fraction(p) ** alpha, y), (Fraction(0), Fraction(p) ** beta)),
         rep.context,
     )
-    (ba, bb), (bc, bd) = vertex.basis()
-    det = ba * bd - bb * bc
-    inv = ((bd / det, -bb / det), (-bc / det, ba / det))
+    inv = inv2(vertex.basis())
     for m in matrices:
-        rows = m.rows()
-        conj = _mul2(_mul2(inv, rows), vertex.basis())
+        conj = mul2(mul2(inv, m.rows()), vertex.basis())
         if any(_val_fraction(x, p) < 0 for row in conj for x in row):
             raise ValidationError("fixed-lattice certificate failed verification")
     return vertex
-
-
-def _mul2(m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 # -- reducibility ---------------------------------------------------------
 
 
 def _line_invariant_under(line: Line, m: SL2Matrix) -> bool:
-    x, y = line
-    ix = m.a * x + m.b * y
-    iy = m.c * x + m.d * y
-    return ix * y == iy * x
+    ix, iy = _apply(m, line)
+    return ix * line[1] == iy * line[0]
 
 
 def is_reducible_over_rationals(
@@ -228,37 +219,27 @@ def is_reducible_over_rationals(
 def algebra_dimension(rep: Representation) -> int:
     """Dimension over the rationals of the unital algebra generated by
     the image.  4 means absolutely irreducible; inverses are already in
-    the span since g + g^-1 is central for determinant 1."""
-    basis: List[Tuple[Fraction, ...]] = []
+    the span since g + g^-1 is central for determinant 1.  Scaling does
+    not change a span, so the words' images stay scaled integer matrices
+    and are reduced against an integer echelon basis."""
+    basis: List[Tuple[List[int], int]] = []  # (row, its leading index)
 
-    def reduce_against(vec: List[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-        for b in basis:
-            pivot = next(i for i, x in enumerate(b) if x == 1)
-            if vec[pivot] != 0:
-                factor = vec[pivot]
-                vec = [x - factor * y for x, y in zip(vec, b)]
-        try:
-            lead = next(i for i, x in enumerate(vec) if x != 0)
-        except StopIteration:
-            return None
-        scale = vec[lead]
-        return tuple(x / scale for x in vec)
+    def insert(m) -> bool:
+        vec = list(m[:4])
+        for row, lead in basis:
+            vec = [x * row[lead] - vec[lead] * y for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is not None:
+            basis.append((vec, lead))
+        return lead is not None
 
-    def insert(mat: Tuple[Fraction, ...]) -> bool:
-        echo = reduce_against(list(mat))
-        if echo is None:
-            return False
-        basis.append(echo)
-        return True
-
-    gens = [(m.a, m.b, m.c, m.d) for m in rep.matrices]
-    identity = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    insert(identity)
-    worklist: List[Tuple[Fraction, ...]] = [identity]
+    gens = [rep._letters[i] for i in range(1, rep.presentation.rank + 1)]
+    insert(IDENTITY)
+    worklist = [IDENTITY]
     while worklist and len(basis) < 4:
-        a, b, c, d = worklist.pop(0)
-        for e, f, g, h in gens:
-            prod = (e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d)
+        m = worklist.pop(0)
+        for g in gens:
+            prod = scaled_mul(g, m)
             if insert(prod):
                 worklist.append(prod)
     return len(basis)
@@ -291,10 +272,8 @@ def _character_exponents(
     x, y = line
     out = []
     for name, m in rep.assignment:
-        if x != 0:
-            lam = (m.a * x + m.b * y) / x
-        else:
-            lam = (m.c * x + m.d * y) / y
+        ix, iy = _apply(m, line)
+        lam = ix / x if x != 0 else iy / y
         out.append((name, 2 * int(_val_fraction(lam, rep.context.p))))
     ordered = dict(out)
     return tuple((g, ordered[g]) for g in rep.presentation.generators)
@@ -364,38 +343,33 @@ def commutator_trace_scan(
 ) -> List[Tuple[Word, ValuedRational]]:
     """Traces of commutators [u, v] over all ball word pairs with
     |u| + |v| bounded.  One-sided: any trace other than 2 certifies
-    irreducibility over the algebraic closure; all 2 proves nothing."""
+    irreducibility over the algebraic closure; all 2 proves nothing.
+
+    Each trace comes from the Fricke identity
+    tr[u, v] = tr(u)^2 + tr(v)^2 + tr(uv)^2 - tr(u) tr(v) tr(uv) - 2,
+    in integers over the scaled images u = M/Du and v = N/Dv: one trace
+    of a product per pair, over the common denominator Du^2 Dv^2.
+    """
     if max_total_len < 2:
         raise ValidationError("scan needs max_total_len >= 2")
-    words = ball(rep.presentation, max_total_len)
+    rank = rep.presentation.rank
+    check_ball(rank, max_total_len, DEFAULT_WORD_CAP, "ball")
+    table = rep._letters
+    walk = ball_walk(rank, max_total_len, IDENTITY,
+                     lambda m, x: scaled_mul(m, table[x]))
+    rows = []
+    for u, (a, b, c, d, den) in [((), IDENTITY)] + [(w.letters, m) for w, m in walk]:
+        rows.append((u, tuple(-x for x in reversed(u)),
+                     a, b, c, d, a + d, (a + d) ** 2, den * den))
     ctx = rep.context
-    raw: List[Tuple[Fraction, Fraction, Fraction, Fraction]] = []
-    for w in words:
-        m = rep.evaluate(w)
-        raw.append((m.a, m.b, m.c, m.d))
     out: List[Tuple[Word, ValuedRational]] = []
-    for i, u in enumerate(words):
-        a, b, c, d = raw[i]
-        for j, v in enumerate(words):
+    for u, u_inv, a, b, c, d, tu, tu2, du2 in rows:
+        for v, v_inv, e, f, g, h, tv, tv2, dv2 in rows:
             if len(u) + len(v) > max_total_len:
-                break  # ball is shortlex sorted, so later v are no shorter
-            e, f, g, h = raw[j]
-            # [u, v] = u v u^-1 v^-1 via adjugate inverses
-            m1 = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            m2 = (
-                m1[0] * d - m1[1] * c,
-                -m1[0] * b + m1[1] * a,
-                m1[2] * d - m1[3] * c,
-                -m1[2] * b + m1[3] * a,
-            )
-            trace = (
-                m2[0] * h - m2[1] * g - m2[2] * f + m2[3] * e
-            )
-            word = Word(
-                u.letters
-                + v.letters
-                + tuple(-x for x in reversed(u.letters))
-                + tuple(-x for x in reversed(v.letters))
-            )
-            out.append((word, ValuedRational(trace, ctx)))
+                break  # rows are shortlex sorted, so later v are no shorter
+            tuv = a * e + b * g + c * f + d * h
+            den = du2 * dv2
+            num = tu2 * dv2 + tv2 * du2 + tuv * (tuv - tu * tv) - 2 * den
+            out.append((_trusted_word(u + v + u_inv + v_inv),
+                        ValuedRational(Fraction(num, den), ctx)))
     return out

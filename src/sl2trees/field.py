@@ -53,18 +53,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _val_int(n: int, p: int):
-    """Exponent of p in a nonzero integer; math.inf for 0."""
-    if n == 0:
-        return INFINITY
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _val_fraction(q: Fraction, p: int):
+def _val_fraction(q: Union[int, Fraction], p: int):
+    """Exponent of p in a nonzero int or Fraction; math.inf for 0."""
     if q == 0:
         return INFINITY
     num = q.numerator
@@ -97,8 +87,6 @@ class PrimeContext:
 
     def valuation(self, q) -> Union[int, float]:
         """Valuation of a bare int or Fraction, without wrapping it."""
-        if isinstance(q, int):
-            return _val_int(q, self.p)
         return _val_fraction(q, self.p)
 
     def __repr__(self):

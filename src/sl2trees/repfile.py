@@ -41,7 +41,11 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # Python's 4300-digit limit on int strings
+            raise ValidationError(
+                f"{where} has a number of over 4300 digits") from None
     raise ValidationError(
         f"{where} must look like 'a' or 'a/b', got {value!r}"
     )
@@ -143,7 +147,7 @@ def load_representation(path: str) -> Representation:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also ints past the 4300-digit limit
             raise ValidationError(f"not valid JSON: {exc}") from exc
     return parse_representation(data)
 

@@ -8,13 +8,12 @@ prefix's image, denominators kept only as valuations, and no final sort.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .classify import Representation
 from .errors import ShapeMismatchError
-from .field import _val_int
+from .field import _val_fraction
 from .traces import FundamentalTraceVector, variable_name
 from .words import DEFAULT_WORD_CAP, Word, ball_walk, check_ball, word_texts
 
@@ -50,15 +49,8 @@ def spectrum(
     presentation = rep.presentation
     check_ball(presentation.rank, max_len, max_words, "spectrum")
     p = rep.context.p
-    gens = {}
-    for i, m in enumerate(rep.matrices, start=1):
-        den = math.lcm(
-            m.a.denominator, m.b.denominator, m.c.denominator, m.d.denominator
-        )
-        a, b, c, d = (int(x * den) for x in (m.a, m.b, m.c, m.d))
-        v = _val_int(den, p)
-        gens[i] = (a, b, c, d, v)
-        gens[-i] = (d, -b, -c, a, v)  # adjugate: exact inverse up to 1/den
+    gens = {x: (a, b, c, d, _val_fraction(den, p))
+            for x, (a, b, c, d, den) in rep._letters.items()}
 
     def step(m, x):
         a, b, c, d, v = m

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .matrices import SL2Matrix
-from .words import Word, evaluate
+from .words import Word, _cyclic_reduce_letters, _rotations, evaluate
 
 VarKey = Tuple[int, ...]        # strictly increasing generator indices
 Monomial = Tuple[VarKey, ...]   # sorted variable factors
@@ -191,30 +191,15 @@ _MEMO: Dict[Tuple[int, ...], TracePolynomial] = {}
 DEFAULT_STEP_BUDGET = 200_000
 
 
-def _cyclic_free_reduce(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    out: List[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
-
-
 def _canonical_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
     """Least rotation of the word or its inverse: the memo key respects
     both trace symmetries tr(uv) = tr(vu) and tr(w) = tr(w^-1)."""
     inverse = tuple(-x for x in reversed(letters))
-    candidates = []
-    for base in (letters, inverse):
-        candidates.extend(base[i:] + base[:i] for i in range(len(base)))
-    return min(candidates)
+    return min(_rotations(letters) + _rotations(inverse))
 
 
 def _reduce(letters: Tuple[int, ...], budget: List[int]) -> TracePolynomial:
-    letters = _cyclic_free_reduce(letters)
+    letters = _cyclic_reduce_letters(letters)
     if not letters:
         return _TWO
     if len(letters) == 1:
@@ -334,15 +319,7 @@ def fundamental_traces(matrices: Sequence[SL2Matrix]) -> FundamentalTraceVector:
     if not matrices:
         raise ValidationError("need at least one generator matrix")
     rank = len(matrices)
-    products: Dict[VarKey, SL2Matrix] = {}
-    entries: Dict[VarKey, object] = {}
-    for s in subset_keys(rank):
-        if len(s) == 1:
-            prod = matrices[s[0] - 1]
-        else:
-            prod = products[s[:-1]] * matrices[s[-1] - 1]
-        products[s] = prod
-        entries[s] = prod.trace()
+    entries = {s: evaluate(Word(s), matrices).trace() for s in subset_keys(rank)}
     return FundamentalTraceVector(rank, entries)
 
 

@@ -20,9 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .field import PrimeContext, _coerce, _val_fraction
-from .matrices import SL2Matrix
-
-_INF = float("inf")
+from .matrices import SL2Matrix, inv2, mul2
 
 
 def _reduce_center(c: Fraction, n: int, p: int) -> Fraction:
@@ -91,9 +89,13 @@ def parse_vertex(text: str, context: PrimeContext) -> TreeVertex:
     if not m:
         raise ValidationError(f"vertex literal must look like '(n; c)': {text!r}")
     try:
-        return TreeVertex(int(m.group(1)), Fraction(m.group(2)), context)
+        level, center = int(m.group(1)), Fraction(m.group(2))
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in vertex {text!r}") from None
+    except ValueError:  # Python's 4300-digit limit on int strings
+        raise ValidationError(
+            "vertex literal has a number of over 4300 digits") from None
+    return TreeVertex(level, center, context)
 
 
 def vertex_type(v: TreeVertex) -> int:
@@ -121,23 +123,6 @@ def _meet_level(u: TreeVertex, v: TreeVertex) -> int:
     return m if sep >= m else int(sep)
 
 
-# generic exact 2x2 helpers, used for the elementary-divisor route
-
-
-def _mat2_mul(m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _mat2_inv(m):
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    return ((d / det, -b / det), (-c / det, a / det))
-
-
 def distance_via_matrices(u: TreeVertex, v: TreeVertex) -> int:
     """Same distance, read off the elementary divisors of M_u^-1 M_v.
 
@@ -146,7 +131,7 @@ def distance_via_matrices(u: TreeVertex, v: TreeVertex) -> int:
     cross-checked against the normal-form formula.
     """
     _require_same_context(u, v)
-    n = _mat2_mul(_mat2_inv(u.basis()), v.basis())
+    n = mul2(inv2(u.basis()), v.basis())
     p = u.context.p
     (a, b), (c, d) = n
     det = a * d - b * c
@@ -183,7 +168,7 @@ def act(g: SL2Matrix, v: TreeVertex) -> TreeVertex:
     """Image vertex under the linear action on lattice classes."""
     if g.context != v.context:
         raise ContextMismatchError("matrix and vertex primes differ")
-    m = _mat2_mul(g.rows(), v.basis())
+    m = mul2(g.rows(), v.basis())
     return canonical_vertex(m, v.context)
 
 

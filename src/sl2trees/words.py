@@ -19,7 +19,8 @@ from .errors import (
     ValidationError,
     WordSyntaxError,
 )
-from .matrices import SL2Matrix
+from .matrices import (
+    IDENTITY, SL2Matrix, Scaled, letter_table, scaled_mul, unscaled)
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
@@ -79,6 +80,15 @@ def _reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _cyclic_reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
+    ls = _reduce_letters(letters)
+    i, j = 0, len(ls) - 1
+    while i < j and ls[i] == -ls[j]:
+        i += 1
+        j -= 1
+    return ls[i:j + 1]
+
+
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
     return Word(_reduce_letters(w.letters))
@@ -86,10 +96,7 @@ def free_reduce(w: Word) -> Word:
 
 def cyclic_reduce(w: Word) -> Word:
     """Freely reduce, then strip matched first/last inverse pairs."""
-    ls = list(_reduce_letters(w.letters))
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        ls = ls[1:-1]
-    return Word(tuple(ls))
+    return Word(_cyclic_reduce_letters(w.letters))
 
 
 @dataclass(frozen=True)
@@ -263,10 +270,15 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 where = exp_tok[2] if exp_tok else self.length
                 raise WordSyntaxError("'^' must be followed by an integer", where)
-            power = int(exp_tok[1])
-            if power < 0:
+            # more digits than the cap means a power past it; checked before
+            # int(), which refuses strings of over 4300 digits
+            digits = exp_tok[1].lstrip("+-").lstrip("0")
+            if base and len(digits) > len(str(DEFAULT_WORD_CAP)):
+                raise CapExceededError(f"exponent of {len(digits)} digits "
+                                       f"passes the word cap {DEFAULT_WORD_CAP}")
+            power = int(digits or "0") if base else 0
+            if exp_tok[1].startswith("-"):
                 base = [-x for x in reversed(base)]
-                power = -power
         return base, power
 
 
@@ -310,13 +322,19 @@ def evaluate(w: Word, matrices: Sequence[SL2Matrix]) -> SL2Matrix:
     """Image of a word under generator index -> matrix; empty word -> id."""
     if not matrices:
         raise ValidationError("evaluation needs at least one generator matrix")
-    out = SL2Matrix.identity(matrices[0].context)
-    for x in w.letters:
-        if abs(x) > len(matrices):
-            raise UnknownGeneratorError(f"letter {x} outside rank {len(matrices)}")
-        m = matrices[abs(x) - 1]
-        out = out * (m if x > 0 else m.inverse())
-    return out
+    return evaluate_with(w, letter_table(matrices), matrices[0].context)
+
+
+def evaluate_with(w: Word, table: Dict[int, Scaled], context) -> SL2Matrix:
+    """Image of a word under a prebuilt matrices.letter_table."""
+    image = IDENTITY
+    try:
+        for x in w.letters:
+            image = scaled_mul(image, table[x])
+    except KeyError as exc:
+        raise UnknownGeneratorError(
+            f"letter {exc.args[0]} outside rank {len(table) // 2}") from None
+    return unscaled(image, context)
 
 
 # -- shortlex enumeration ----------------------------------------------

@@ -134,3 +134,18 @@ def padic_square_table(x, p):
     residue = unit.numerator * pow(unit.denominator, -1, m) % m
     squares = {y * y % m for y in range(m) if math.gcd(y, p) == 1}
     return residue in squares
+
+
+def fraction_fold(letters, gens):
+    """Image of a word as a left fold of plain Fraction 2x2 products.
+
+    gens[i - 1] holds the rows of generator i; letter -i takes the
+    adjugate, the inverse of a determinant-1 matrix.
+    """
+    (a, b), (c, d) = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    for x in letters:
+        (e, f), (g, h) = gens[abs(x) - 1]
+        if x < 0:
+            e, f, g, h = h, -f, -g, e
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return ((a, b), (c, d))

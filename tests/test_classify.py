@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -302,6 +303,29 @@ def test_commutator_scan_finds_witness_when_irreducible():
     assert any(t != 2 for _, t in scan)
     words = {w.letters: t for w, t in scan}
     assert words[(1, 2, -1, -2)] == 3
+
+
+# sha256 of repr([(w.letters, t.value) for w, t in scan]) at total length
+# 4, frozen from the scan that multiplied out u v u^-1 v^-1 in Fractions
+SCAN_GENUS2_SHA256 = (
+    "f380ac994ac6fa4edfcfef9af39d9723afb0711d94d956ab41f786e7225db474")
+SCAN_FREE3_SHA256 = (
+    "9e6c922138b5ccfd6459a8d953fddf61a00929a8c3892830be59d50d1db7e41a")
+
+
+def test_commutator_scan_frozen():
+    a1 = SL2Matrix(((0, -1), (1, Fraction(7, 3))), CTX)
+    b1 = SL2Matrix(((Fraction(1, 2), 1), (Fraction(-1, 2), 1)), CTX)
+    genus2 = Representation(
+        Presentation.surface(2), {"a1": a1, "b1": b1, "a2": b1, "b2": a1})
+    a = SL2Matrix(((3, 0), (0, Fraction(1, 3))), CTX)
+    b = SL2Matrix(((1, 1), (1, 2)), CTX)
+    c = SL2Matrix(((Fraction(2, 5), 1), (Fraction(-3, 5), 1)), CTX)
+    free3 = Representation(Presentation.free(3), {"a": a, "b": b, "c": c})
+    for rep, digest in ((genus2, SCAN_GENUS2_SHA256), (free3, SCAN_FREE3_SHA256)):
+        scan = commutator_trace_scan(rep, 4)
+        data = repr([(w.letters, t.value) for w, t in scan]).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_commutator_scan_values_match_traces():

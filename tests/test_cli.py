@@ -257,17 +257,39 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     assert code == 1 and err.startswith("error: not valid JSON")
 
 
-def test_vertex_zero_denominator_fails_cleanly():
+def run_module(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sl2trees.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sl2trees.cli", "tree", "distance",
-         "--prime", "3", "(2; 1/0)", "(0; 0)"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_vertex_zero_denominator_fails_cleanly():
+    proc = run_module("sl2trees.cli", "tree", "distance",
+                      "--prime", "3", "(2; 1/0)", "(0; 0)")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", ['"' + "1" * 5000 + '"', "1" * 5000])
+def test_overlong_repfile_number_fails_cleanly(tmp_path, entry):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"prime": 3, "group": {"kind": "free", "rank": 2}, "generators": '
+        '{"a": [[' + entry + ', "0"], ["0", "1/3"]], '
+        '"b": [["1", "1"], ["1", "2"]]}}')
+    proc = run_module("sl2trees", "classify", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "4300 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_python_m_sl2trees_runs_the_cli():
+    proc = run_module("sl2trees", "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: sl2trees ")
 
 
 def test_usage_errors_exit_two(capsys, rep_path):

@@ -178,6 +178,17 @@ def test_invalid_json_reported(tmp_path):
         load_representation(str(path))
 
 
+def test_overlong_numbers_rejected(tmp_path):
+    long_entry = doc(generators={"a": [["1" * 5000, "0"], ["0", "1/3"]],
+                                 "b": [["1", "1"], ["1", "2"]]})
+    with pytest.raises(ValidationError, match="4300 digits"):
+        parse_representation(long_entry)
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc()).replace('"3"', "1" * 5000, 1))
+    with pytest.raises(ValidationError, match="4300 digits"):
+        load_representation(str(path))
+
+
 def test_to_data_matches_parse():
     rep = sl2z_pair(PrimeContext(2))
     data = representation_to_data(rep)

@@ -68,6 +68,10 @@ def test_vertex_text_and_parse_round_trip():
         parse_vertex("2; 4", CTX)
     with pytest.raises(ValidationError):
         parse_vertex("(2; 1/0)", CTX)
+    for text in ("(" + "1" * 5000 + "; 0)", "(2; " + "1" * 5000 + ")",
+                 "(2; 1/" + "3" * 5000 + ")"):
+        with pytest.raises(ValidationError, match="4300 digits"):
+            parse_vertex(text, CTX)
 
 
 def test_canonical_vertex_frozen():

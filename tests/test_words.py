@@ -2,13 +2,18 @@ import itertools
 import random
 import tracemalloc
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
     NotDehnPresentationError,
     PrimeContext,
     Presentation,
+    Representation,
+    SL2Matrix,
     UnknownGeneratorError,
     ValidationError,
     Word,
@@ -24,6 +29,7 @@ from sl2trees import (
 )
 from sl2trees.words import DEFAULT_WORD_CAP, letter_alphabet, word_sort_key
 
+from _oracles import fraction_fold
 from conftest import random_integral_sl2
 
 FREE2 = Presentation.free(2)
@@ -67,13 +73,17 @@ def test_parse_exponent_expansion_is_capped():
     tracemalloc.start()
     try:
         for text in ("a^3000000", "(a b)^-1500000", "(a^1000)^1000",
-                     "a^99999999999999999999"):
+                     "a^99999999999999999999", "a^" + "1" * 5000,
+                     "(a b)^-" + "0" * 5000 + "9" * 7):
             with pytest.raises(CapExceededError):
                 parse_word(text, FREE2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000, "the expanded word was built before the check"
+    # past Python's 4300-digit int limit: only the value's digits count
+    assert parse_word("a^-" + "0" * 5000 + "2", FREE2).letters == (-1, -1)
+    assert parse_word("1^" + "9" * 5000, FREE2).letters == ()
 
 
 def test_parse_surface_names():
@@ -236,6 +246,38 @@ def test_evaluate_out_of_range_letter():
     mats = [random_integral_sl2(random.Random(0), ctx)]
     with pytest.raises(UnknownGeneratorError):
         evaluate(Word((2,)), mats)
+    rep = Representation(Presentation.free(1), {"a": mats[0]})
+    for letters in ((2,), (1, -2), (1, 1, 3)):
+        with pytest.raises(UnknownGeneratorError, match="outside rank 1"):
+            rep.evaluate(Word(letters))
+
+
+def det_one_rows(p):
+    """Rows of [[q, 0], [0, 1/q]] [[1, x], [0, 1]] [[1, 0], [y, 1]], with
+    denominators that are powers of p, coprime to p, or mixed."""
+    c = 7 if p != 7 else 5
+    fracs = st.builds(Fraction, st.integers(-9, 9),
+                      st.sampled_from((1, p, p * p, c, c * p)))
+    return st.builds(
+        lambda q, x, y: ((q * (1 + x * y), q * x), (y / q, 1 / q)),
+        fracs.filter(bool), fracs, fracs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_matches_fraction_fold(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    rank = data.draw(st.integers(1, 3))
+    gens = [data.draw(det_one_rows(p)) for _ in range(rank)]
+    letters = tuple(data.draw(
+        st.lists(st.sampled_from(letter_alphabet(rank)), max_size=10)))
+    ctx = PrimeContext(p)
+    mats = [SL2Matrix(rows, ctx) for rows in gens]
+    rep = Representation(Presentation.free(rank), dict(zip("abc", mats)))
+    expected = fraction_fold(letters, gens)
+    assert evaluate(Word(letters), mats).rows() == expected
+    assert rep.evaluate(Word(letters)).rows() == expected
+    assert evaluate(Word(()), mats).rows() == ((1, 0), (0, 1))
 
 
 # -- Dehn reduction ------------------------------------------------------
