@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -160,6 +161,11 @@ def fixed_lattice_certificate(
     bounded, _ = is_bounded(rep)
     if not bounded:
         raise NotBoundedError("unbounded representations fix no lattice class")
+    return _saturated_lattice(rep, max_rounds)
+
+
+def _saturated_lattice(rep: Representation, max_rounds: int) -> TreeVertex:
+    """fixed_lattice_certificate's work, for a rep known to be bounded."""
     p = rep.context.p
     form: LatticeForm = (0, 0, Fraction(0))
     matrices = rep.matrices
@@ -284,11 +290,7 @@ def classify(
 ) -> ClassificationReport:
     """Full classification with certificates; every field is exact."""
     bounded, witness = is_bounded(rep)
-    fixed = (
-        fixed_lattice_certificate(rep, max_saturation_rounds)
-        if bounded
-        else None
-    )
+    fixed = _saturated_lattice(rep, max_saturation_rounds) if bounded else None
     reducible, line = is_reducible_over_rationals(rep)
     dim = algebra_dimension(rep)
     completion: Optional[bool] = None
@@ -353,7 +355,11 @@ def commutator_trace_scan(
     if max_total_len < 2:
         raise ValidationError("scan needs max_total_len >= 2")
     rank = rep.presentation.rank
-    check_ball(rank, max_total_len, DEFAULT_WORD_CAP, "ball")
+    levels = [1, 2 * rank]  # words of each length; a pair is a level times a ball
+    while len(levels) <= max_total_len:
+        levels.append(levels[-1] * (2 * rank - 1))
+    pairs = sum(n * b for n, b in zip(levels, reversed(list(accumulate(levels)))))
+    check_ball(rank, max_total_len, DEFAULT_WORD_CAP, "commutator scan", pairs)
     table = rep._letters
     walk = ball_walk(rank, max_total_len, IDENTITY,
                      lambda m, x: scaled_mul(m, table[x]))

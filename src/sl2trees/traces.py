@@ -15,6 +15,12 @@ computes that polynomial with four trace identities:
 Each recursive call strictly decreases (length, inverse letters, order
 inversions) lexicographically, so the rewriting terminates; a defensive
 step budget turns any violation into an error instead of a hang.
+
+For rank >= 3 a trace has many polynomial representatives (t123 is a root
+of a quadratic over the other six); rewriting the canonical form of the
+word's class under rotation and inversion fixes one, whatever the history.
+A monomial is one int: variable k, numbered on first use, has its exponent
+in bits [W*k, W*(k+1)), so monomials multiply by adding.
 """
 
 from __future__ import annotations
@@ -24,15 +30,55 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (
+    CapExceededError,
     ReductionCapExceededError,
     UnknownGeneratorError,
     ValidationError,
 )
-from .matrices import SL2Matrix
-from .words import Word, _cyclic_reduce_letters, _rotations, evaluate
+from .matrices import IDENTITY, SL2Matrix, letter_table, scaled_mul, unscaled
+from .words import Word, _cyclic_reduce_letters, evaluate
 
 VarKey = Tuple[int, ...]        # strictly increasing generator indices
 Monomial = Tuple[VarKey, ...]   # sorted variable factors
+Packed = Dict[int, int]         # packed monomial -> nonzero coefficient
+
+_W = 16                       # bits per exponent; words stay shorter than
+_EXP_LIMIT = 1 << (_W - 1)    # this, so a field's top bit is never set
+_FIELD = (1 << _W) - 1        # one exponent's bits
+_VAR_BIT: Dict[VarKey, int] = {}  # variable -> its monomial, in numbering order
+
+
+def _var(s: VarKey) -> int:
+    return _VAR_BIT.setdefault(s, 1 << (_W * len(_VAR_BIT)))
+
+
+def _decode(mono: int) -> Monomial:
+    names, factors = list(_VAR_BIT), []
+    for k in range((mono.bit_length() + _W - 1) // _W):
+        factors += [names[k]] * ((mono >> (_W * k)) & _FIELD)
+    return tuple(sorted(factors, key=_var_order))
+
+
+def _add_into(acc: Packed, p: Packed, c: int = 1, shift: int = 0) -> None:
+    """acc += c * x^shift * p in place, x^shift a packed monomial."""
+    get = acc.get
+    for m, x in p.items():
+        m += shift
+        acc[m] = get(m, 0) + c * x
+
+
+def _clean(acc: Packed) -> Packed:
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
+
+
+def _mul(p: Packed, q: Packed) -> Packed:
+    """The one product, in a fresh dict: shifted, scaled copies of p."""
+    if len(p) < len(q):
+        p, q = q, p  # one copy per term of the shorter factor
+    acc: Packed = {}
+    for shift, c in q.items():
+        _add_into(acc, p, c, shift)
+    return _clean(acc)
 
 
 def _var_order(s: VarKey) -> Tuple[int, VarKey]:
@@ -49,52 +95,57 @@ class TracePolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] = ()):
-        clean: Dict[Monomial, int] = {}
+        packed: Packed = {}
         for mono, coeff in dict(terms).items():
-            if coeff:
-                clean[mono] = coeff
-        self._terms = clean
+            if len(mono) >= _EXP_LIMIT:
+                raise CapExceededError(f"a monomial degree reached {_EXP_LIMIT}")
+            _add_into(packed, {sum(map(_var, mono)): coeff})
+        self._terms = _clean(packed)
+
+    @classmethod
+    def _of(cls, packed: Packed) -> "TracePolynomial":
+        out = object.__new__(cls)
+        out._terms = packed
+        return out
 
     @classmethod
     def constant(cls, c: int) -> "TracePolynomial":
-        return cls({(): c})
+        return cls._of({0: c} if c else {})
 
     @classmethod
     def variable(cls, s: VarKey) -> "TracePolynomial":
         if not all(a < b for a, b in zip(s, s[1:])):
             raise ValidationError(f"variable index must be increasing: {s}")
-        return cls({(s,): 1})
+        return cls._of({_var(s): 1})
 
     def terms(self) -> Dict[Monomial, int]:
-        return dict(self._terms)
+        return {_decode(m): c for m, c in self._terms.items()}
 
     def variables(self):
-        return sorted({v for mono in self._terms for v in mono}, key=_var_order)
+        return sorted({v for mono in self.terms() for v in mono}, key=_var_order)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self._terms == ({(): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, TracePolynomial):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms().items()))
 
     def __add__(self, other):
-        other = _as_poly(other)
         out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return TracePolynomial(out)
+        _add_into(out, _as_poly(other)._terms)
+        return TracePolynomial._of(_clean(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TracePolynomial({m: -c for m, c in self._terms.items()})
+        return TracePolynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -103,13 +154,11 @@ class TracePolynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        out: Dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(sorted(m1 + m2, key=_var_order))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return TracePolynomial(out)
+        out = _mul(self._terms, _as_poly(other)._terms)
+        guard = sum(_VAR_BIT.values()) << (_W - 1)  # each field's top bit
+        if any(m & guard for m in out):
+            raise CapExceededError(f"an exponent reached {_EXP_LIMIT}")
+        return TracePolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -119,15 +168,20 @@ class TracePolynomial:
         Values may be ValuedRational or Fraction; a constant polynomial
         evaluates to a plain int.
         """
-        total = 0
-        for mono, coeff in sorted(
-            self._terms.items(), key=lambda kv: _mono_sort_key(kv[0])
-        ):
-            term = coeff
-            for v in mono:
-                if v not in values:
-                    raise ValidationError(f"no value for {variable_name(v)}")
-                term = term * values[v]
+        names, powers, total = list(_VAR_BIT), {}, 0
+        for mono, coeff in self._terms.items():
+            term, k = coeff, 0
+            while mono:
+                e = mono & _FIELD
+                if e:
+                    if names[k] not in values:
+                        raise ValidationError(f"no value for {variable_name(names[k])}")
+                    pw = powers.setdefault(k, [1])  # each power computed once
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * values[names[k]])
+                    term = term * pw[e]
+                mono >>= _W
+                k += 1
             total = total + term
         return total
 
@@ -138,10 +192,10 @@ class TracePolynomial:
         if not self._terms:
             return "0"
         ordered = sorted(
-            ((m, c) for m, c in self._terms.items() if m),
+            ((_decode(m), c) for m, c in self._terms.items() if m),
             key=lambda kv: _mono_sort_key(kv[0]),
         )
-        const = self._terms.get((), 0)
+        const = self._terms.get(0, 0)
         if const:
             ordered.append(((), const))
         pieces: List[str] = []
@@ -185,27 +239,37 @@ def _as_poly(x) -> TracePolynomial:
 
 # -- the rewriter --------------------------------------------------------
 
-_TWO = TracePolynomial.constant(2)
-_MEMO: Dict[Tuple[int, ...], TracePolynomial] = {}
+_TWO: Packed = {0: 2}
+_MEMO: Dict[Tuple[int, ...], Packed] = {}
 
 DEFAULT_STEP_BUDGET = 200_000
 
 
 def _canonical_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Least rotation of the word or its inverse: the memo key respects
-    both trace symmetries tr(uv) = tr(vu) and tr(w) = tr(w^-1)."""
-    inverse = tuple(-x for x in reversed(letters))
-    return min(_rotations(letters) + _rotations(inverse))
+    """The least rotation of the word or its inverse, whichever has fewer
+    inverse letters (both on a tie).  It starts a run of the least letter:
+    starting inside one puts a larger letter earlier."""
+    excess = 2 * len([x for x in letters if x < 0]) - len(letters)
+    inverse = tuple(-x for x in reversed(letters)) if excess >= 0 else None
+    candidates = ((letters,) if excess < 0 else (inverse,) if excess
+                  else (letters, inverse))
+    best = None
+    for w in candidates:
+        low = min(w)
+        for i, x in enumerate(w):
+            if x == low and w[i - 1] != low:
+                rot = w[i:] + w[:i]
+                if best is None or rot < best:
+                    best = rot
+    return best or candidates[0]
 
 
-def _reduce(letters: Tuple[int, ...], budget: List[int]) -> TracePolynomial:
+def _reduce(letters: Tuple[int, ...], budget: List[int]) -> Packed:
     letters = _cyclic_reduce_letters(letters)
-    if not letters:
-        return _TWO
-    if len(letters) == 1:
-        return TracePolynomial.variable((abs(letters[0]),))
-    key = _canonical_key(letters)
-    hit = _MEMO.get(key)
+    if len(letters) < 2:
+        return {_var((abs(letters[0]),)): 1} if letters else _TWO
+    letters = _canonical_key(letters)
+    hit = _MEMO.get(letters)
     if hit is not None:
         return hit
     budget[0] -= 1
@@ -218,21 +282,17 @@ def _reduce(letters: Tuple[int, ...], budget: List[int]) -> TracePolynomial:
         # tr(u g') = tr(u) tr(g) - tr(u g), rotated so g' sits last
         u = letters[neg + 1:] + letters[:neg]
         g = -letters[neg]
-        t_g = TracePolynomial.variable((g,))
-        poly = _reduce(u, budget) * t_g - _reduce(u + (g,), budget)
+        poly = _mul(_reduce(u, budget), {_var((g,)): 1})
+        _add_into(poly, _reduce(u + (g,), budget), -1)
     else:
-        adj = next(
-            (i for i in range(m) if letters[i] == letters[(i + 1) % m]), None
-        )
+        # the key starts a run of its least letter, so a square never wraps
+        adj = next((i for i in range(m - 1) if letters[i] == letters[i + 1]), None)
         if adj is not None:
             # tr(u g g) = tr(u g) tr(g) - tr(u)
             g = letters[adj]
-            if adj < m - 1:
-                u = letters[adj + 2:] + letters[:adj]
-            else:
-                u = letters[1:-1]
-            t_g = TracePolynomial.variable((g,))
-            poly = _reduce(u + (g,), budget) * t_g - _reduce(u, budget)
+            u = letters[adj + 2:] + letters[:adj]
+            poly = _mul(_reduce(u + (g,), budget), {_var((g,)): 1})
+            _add_into(poly, _reduce(u, budget), -1)
         elif len(set(letters)) < m:
             # repeated letter: split at its two occurrences,
             # tr(x y) = tr(x) tr(y) - tr(x y')
@@ -242,30 +302,22 @@ def _reduce(letters: Tuple[int, ...], budget: List[int]) -> TracePolynomial:
             j = rot.index(g, 1)
             x, y = rot[:j], rot[j:]
             y_inv = tuple(-t for t in reversed(y))
-            poly = _reduce(x, budget) * _reduce(y, budget) - _reduce(
-                x + y_inv, budget
-            )
+            poly = _mul(_reduce(x, budget), _reduce(y, budget))
+            _add_into(poly, _reduce(x + y_inv, budget), -1)
+        elif all(a < b for a, b in zip(letters, letters[1:])):
+            # the key starts at its least letter, so it is the variable
+            poly = {_var(letters): 1}
         else:
-            anchor = letters.index(min(letters))
-            rot = letters[anchor:] + letters[:anchor]
-            if all(a < b for a, b in zip(rot, rot[1:])):
-                poly = TracePolynomial.variable(rot)
-            else:
-                # reorder one adjacent descent with the triple identity
-                i = next(k for k in range(1, m - 1) if rot[k] > rot[k + 1])
-                head, x, y, tail = rot[:i], rot[i], rot[i + 1], rot[i + 2:]
-                a = tail + head
-                t_x = TracePolynomial.variable((x,))
-                t_y = TracePolynomial.variable((y,))
-                p_a = _reduce(a, budget)
-                poly = (
-                    p_a * _reduce((y, x), budget)
-                    + t_y * _reduce(a + (x,), budget)
-                    + t_x * _reduce(a + (y,), budget)
-                    - p_a * t_y * t_x
-                    - _reduce(a + (y, x), budget)
-                )
-    _MEMO[key] = poly
+            # reorder one adjacent descent with the triple identity
+            i = next(k for k in range(1, m - 1) if letters[k] > letters[k + 1])
+            head, x, y, tail = letters[:i], letters[i], letters[i + 1], letters[i + 2:]
+            a = tail + head
+            t_x, t_y = _var((x,)), _var((y,))
+            poly = _mul(_reduce(a, budget), {_var((y, x)): 1, t_x + t_y: -1})
+            _add_into(poly, _reduce(a + (x,), budget), 1, t_y)
+            _add_into(poly, _reduce(a + (y,), budget), 1, t_x)
+            _add_into(poly, _reduce(a + (y, x), budget), -1)
+    poly = _MEMO[letters] = _clean(poly)
     return poly
 
 
@@ -276,14 +328,21 @@ def trace_polynomial(
 
     Exact for every determinant-1 assignment of the rank generators;
     the identity is checked numerically in the test suite rather than
-    assumed from the rewriting rules.
+    assumed from the rewriting rules.  For rank >= 3 the result is one
+    fixed representative modulo the relations among the traces.
     """
     if rank < 1:
         raise ValidationError("rank must be >= 1")
     for x in w.letters:
         if abs(x) > rank:
             raise UnknownGeneratorError(f"letter {x} outside rank {rank}")
-    return _reduce(tuple(w.letters), [max_steps])
+    if len(w.letters) >= _EXP_LIMIT:
+        raise ReductionCapExceededError(
+            f"words of {_EXP_LIMIT} letters or more are not rewritten")
+    try:
+        return TracePolynomial._of(_reduce(tuple(w.letters), [max_steps]))
+    except RecursionError:
+        raise ReductionCapExceededError("trace rewriting nested too deeply") from None
 
 
 @dataclass(frozen=True)
@@ -318,9 +377,11 @@ def fundamental_traces(matrices: Sequence[SL2Matrix]) -> FundamentalTraceVector:
     """Traces of the increasing products of the generator matrices."""
     if not matrices:
         raise ValidationError("need at least one generator matrix")
-    rank = len(matrices)
-    entries = {s: evaluate(Word(s), matrices).trace() for s in subset_keys(rank)}
-    return FundamentalTraceVector(rank, entries)
+    table, images, entries = letter_table(matrices), {(): IDENTITY}, {}
+    for s in subset_keys(len(matrices)):
+        images[s] = scaled_mul(images[s[:-1]], table[s[-1]])
+        entries[s] = unscaled(images[s], matrices[0].context).trace()
+    return FundamentalTraceVector(len(matrices), entries)
 
 
 def trace_of_word(w: Word, matrices: Sequence[SL2Matrix]):

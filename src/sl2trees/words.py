@@ -358,11 +358,12 @@ def ball_size(rank: int, max_len: int) -> int:
     return total
 
 
-def check_ball(rank: int, max_len: int, max_words: int, what: str):
-    """Reject a negative bound, or a ball of more than max_words words."""
+def check_ball(rank: int, max_len: int, max_words: int, what: str, predicted=None):
+    """Reject a negative bound, or more than max_words words: the ball's,
+    or the given count of words built from it."""
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    predicted = ball_size(rank, max_len)
+    predicted = ball_size(rank, max_len) if predicted is None else predicted
     if predicted > max_words:
         raise CapExceededError(
             f"{what} would hold {predicted} words, cap is {max_words}")
@@ -410,10 +411,6 @@ def ball(
 # -- Dehn reduction ------------------------------------------------------
 
 
-def _rotations(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    return [letters[i:] + letters[:i] for i in range(len(letters))]
-
-
 def _symmetrized(relators: Iterable[Word]) -> List[Tuple[int, ...]]:
     out: List[Tuple[int, ...]] = []
     seen = set()
@@ -422,7 +419,7 @@ def _symmetrized(relators: Iterable[Word]) -> List[Tuple[int, ...]]:
         if not reduced.letters:
             continue
         for base in (reduced.letters, reduced.inverse().letters):
-            for rot in _rotations(base):
+            for rot in (base[i:] + base[:i] for i in range(len(base))):
                 if rot not in seen:
                     seen.add(rot)
                     out.append(rot)

@@ -6,6 +6,7 @@ from elementary-divisor valuations computed on raw integers, and the p-adic
 square test is a residue-table lookup.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -149,3 +150,49 @@ def fraction_fold(letters, gens):
             e, f, g, h = h, -f, -g, e
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return ((a, b), (c, d))
+
+
+class TuplePoly:
+    """Integer polynomial keyed by tuples of variable tuples, each monomial
+    its factors sorted by (len, indices): the plain representation the
+    packed-monomial TracePolynomial must agree with."""
+
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    def _combine(self, other, sign):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + sign * c
+        return TuplePoly(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2, key=lambda v: (len(v), v)))
+                out[m] = out.get(m, 0) + c1 * c2
+        return TuplePoly(out)
+
+    def text(self):
+        """Terms by degree, then factor order, the constant last."""
+        def name(v, e):
+            return "t" + "".join(map(str, v)) + (f"^{e}" if e > 1 else "")
+
+        ordered = sorted((m for m in self.terms if m),
+                         key=lambda m: (len(m), [(len(v), v) for v in m]))
+        ordered += [()] if () in self.terms else []
+        out = ""
+        for m in ordered:
+            c = self.terms[m]
+            body = "*".join(name(v, len(list(g))) for v, g in itertools.groupby(m))
+            body = (f"{abs(c)}*{body}" if abs(c) != 1 else body) if m else str(abs(c))
+            sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+            out += sign + body
+        return out or "0"

@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sl2trees import (
+    CapExceededError,
     ContextMismatchError,
     NotBoundedError,
     PreconditionNotMetError,
@@ -208,6 +211,20 @@ def test_classify_sl2z_pair():
     assert r.character_exponents is None
 
 
+def test_classify_computes_fundamental_traces_once(monkeypatch):
+    # the module, not the package's re-exported `classify` function
+    module = importlib.import_module("sl2trees.classify")
+    real, calls = module.fundamental_traces, []
+
+    def counted(matrices):
+        calls.append(matrices)
+        return real(matrices)
+
+    monkeypatch.setattr(module, "fundamental_traces", counted)
+    assert classify(sl2z_pair(CTX)).bounded
+    assert len(calls) == 1
+
+
 def test_classify_shared_line_pair():
     ctx = CTX
     a = SL2Matrix(((3, 1), (0, Fraction(1, 3))), ctx)
@@ -326,6 +343,18 @@ def test_commutator_scan_frozen():
         scan = commutator_trace_scan(rep, 4)
         data = repr([(w.letters, t.value) for w, t in scan]).encode()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_commutator_scan_counts_pairs_before_building_them():
+    # total length 11 at rank 2: a 354 293-word ball, 5 196 313 pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="5196313"):
+            commutator_trace_scan(sl2z_pair(CTX), max_total_len=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_commutator_scan_values_match_traces():

@@ -292,6 +292,21 @@ def test_python_m_sl2trees_runs_the_cli():
     assert proc.stdout.startswith("usage: sl2trees ")
 
 
+def test_rank3_trace_text_is_the_same_for_a_word_and_its_inverse():
+    # each in a fresh process, so neither sees the other's memo entries
+    for word in ("a b a b c a c", "c' a' c' b' a' b' a'"):
+        proc = run_module("sl2trees", "trace-poly", "--rank", "3", word)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "t1 - t2*t12 - t3*t13 + t12*t13*t123\n"
+
+
+def test_too_deep_trace_rewrite_fails_cleanly():
+    proc = run_module("sl2trees", "trace-poly", "--rank", "1", "a^1200")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_two(capsys, rep_path):
     for argv in ([], ["frobnicate"], ["spectrum", rep_path],
                  ["tree", "ball", "--radius", "1"]):
