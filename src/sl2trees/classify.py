@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -26,10 +25,10 @@ from .isometry import rational_eigenlines
 from .matrices import (
     IDENTITY, SL2Matrix, inv2, letter_table, mul2, scaled_mul)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
-from .tree import TreeVertex, canonical_vertex
+from .tree import TreeVertex, _reduce_center, canonical_vertex
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
-    check_ball, evaluate_with, word_to_text)
+    check_size, evaluate_with, sphere_sizes, word_to_text)
 
 Line = Tuple[int, int]
 
@@ -114,8 +113,6 @@ LatticeForm = Tuple[int, int, Fraction]  # basis [[p^alpha, y], [0, p^beta]]
 
 def _lattice_span(vectors: Sequence[Vec], p: int) -> LatticeForm:
     """Normal form of the local-integer span of the given vectors."""
-    from .tree import _reduce_center
-
     pivot = min(
         (v for v in vectors if v[1] != 0),
         key=lambda v: _val_fraction(v[1], p),
@@ -340,6 +337,18 @@ def conjugacy_test(rep1: Representation, rep2: Representation) -> bool:
     return rep1.fundamental().entries == rep2.fundamental().entries
 
 
+def _pair_counts(rank: int, max_total_len: int) -> Iterator[int]:
+    """Counts of word pairs by |u| + |v| = 0, 1, ..., lazily; at rank 1,
+    where they grow only linearly, the 2 L^2 + 2 L + 1 pairs as one term."""
+    if rank == 1:
+        yield 2 * max_total_len * (max_total_len + 1) + 1
+        return
+    spheres: List[int] = []
+    for size in sphere_sizes(2 * rank, max_total_len):
+        spheres.append(size)
+        yield sum(a * b for a, b in zip(spheres, reversed(spheres)))
+
+
 def commutator_trace_scan(
     rep: Representation, max_total_len: int = 8
 ) -> List[Tuple[Word, ValuedRational]]:
@@ -355,11 +364,8 @@ def commutator_trace_scan(
     if max_total_len < 2:
         raise ValidationError("scan needs max_total_len >= 2")
     rank = rep.presentation.rank
-    levels = [1, 2 * rank]  # words of each length; a pair is a level times a ball
-    while len(levels) <= max_total_len:
-        levels.append(levels[-1] * (2 * rank - 1))
-    pairs = sum(n * b for n, b in zip(levels, reversed(list(accumulate(levels)))))
-    check_ball(rank, max_total_len, DEFAULT_WORD_CAP, "commutator scan", pairs)
+    check_size("commutator scan", "pairs", DEFAULT_WORD_CAP,
+               _pair_counts(rank, max_total_len))
     table = rep._letters
     walk = ball_walk(rank, max_total_len, IDENTITY,
                      lambda m, x: scaled_mul(m, table[x]))

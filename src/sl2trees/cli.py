@@ -235,10 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Sl2TreesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Sl2TreesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,8 @@ from .errors import (
     ValidationError,
 )
 from .matrices import SL2Matrix
-from .tree import TreeVertex, act, distance, geodesic
+from .tree import DEFAULT_NODE_CAP, TreeVertex, act, distance, geodesic
+from .words import check_size
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -84,11 +85,12 @@ def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
         raise NotHyperbolicError("no axis: translation length is zero")
     if window < 1:
         raise ValidationError("window must be >= 1")
+    steps = -(-window // 2)  # least k with 2k >= window
+    check_size("axis segment", "vertices", DEFAULT_NODE_CAP, (2 * steps * ell + 1,))
     base = TreeVertex(0, 0, g.context)
     image = act(g, base)
     d = distance(base, image)
     gate = geodesic(base, image)[(d - ell) // 2]
-    steps = -(-window // 2)  # least k with 2k >= window
     g_inv = g.inverse()
     start = gate
     for _ in range(steps):

@@ -152,10 +152,6 @@ def load_representation(path: str) -> Representation:
     return parse_representation(data)
 
 
-def _rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def representation_to_data(rep: Representation) -> Dict:
     """Inverse of parse_representation, up to rational normalization."""
     presentation = rep.presentation
@@ -179,8 +175,8 @@ def representation_to_data(rep: Representation) -> Dict:
     for name in presentation.generators:
         m = rep.matrix(name)
         generators[name] = [
-            [_rational_str(m.a), _rational_str(m.b)],
-            [_rational_str(m.c), _rational_str(m.d)],
+            [str(m.a), str(m.b)],
+            [str(m.c), str(m.d)],
         ]
     return {
         "prime": rep.context.p,

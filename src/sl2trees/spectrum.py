@@ -14,13 +14,15 @@ from typing import List, Tuple
 from .classify import Representation
 from .errors import ShapeMismatchError
 from .field import _val_fraction
+from .isometry import translation_length
 from .traces import FundamentalTraceVector, variable_name
-from .words import DEFAULT_WORD_CAP, Word, ball_walk, check_ball, word_texts
+from .words import (
+    DEFAULT_WORD_CAP, Word, ball_walk, check_size, sphere_sizes, word_texts)
 
 
 def length_of(rep: Representation, w: Word) -> int:
-    """Translation length of the image of w: -2 min(0, v(trace))."""
-    return -2 * rep.trace(w).loc_min()
+    """Translation length of the image of w."""
+    return translation_length(rep.evaluate(w))
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,8 @@ def spectrum(
     needs only v(trace) against that v.
     """
     presentation = rep.presentation
-    check_ball(presentation.rank, max_len, max_words, "spectrum")
+    check_size("spectrum", "words", max_words,
+               sphere_sizes(2 * presentation.rank, max_len))
     p = rep.context.p
     gens = {x: (a, b, c, d, _val_fraction(den, p))
             for x, (a, b, c, d, den) in rep._letters.items()}

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .errors import (
-    CapExceededError,
-    ContextMismatchError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import ContextMismatchError, SingularMatrixError, ValidationError
 from .field import PrimeContext, _coerce, _val_fraction
 from .matrices import SL2Matrix, inv2, mul2
+from .words import check_size, sphere_sizes
+
+DEFAULT_NODE_CAP = 100_000
 
 
 def _reduce_center(c: Fraction, n: int, p: int) -> Fraction:
@@ -73,7 +71,10 @@ class TreeVertex:
         )
 
     def text(self) -> str:
-        return f"({self.level}; {self.center})"
+        try:
+            return f"({self.level}; {self.center})"
+        except ValueError:  # Python's 4300-digit limit on int strings
+            raise ValidationError("vertex has a number of over 4300 digits") from None
 
     def __repr__(self):
         return f"TreeVertex{self.text()}@p={self.context.p}"
@@ -95,6 +96,10 @@ def parse_vertex(text: str, context: PrimeContext) -> TreeVertex:
     except ValueError:  # Python's 4300-digit limit on int strings
         raise ValidationError(
             "vertex literal has a number of over 4300 digits") from None
+    n, p = abs(level), context.p  # p**n is built only if its bit length may fit
+    limit = 10 ** 4300  # the least int of over 4300 digits
+    if n * (p.bit_length() - 1) >= limit.bit_length() or p ** n >= limit:
+        raise ValidationError(f"vertex level {level}: {p}**{n} has over 4300 digits")
     return TreeVertex(level, center, context)
 
 
@@ -151,16 +156,11 @@ def neighbors(v: TreeVertex) -> List[TreeVertex]:
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     """Vertex path from u to v: ascend to the meet level, then descend."""
-    _require_same_context(u, v)
-    if u.level == v.level and u.center == v.center:
-        return [u]
-    meet = _meet_level(u, v)
-    path = [
-        TreeVertex(k, u.center, u.context) for k in range(u.level, meet - 1, -1)
-    ]
-    path.extend(
-        TreeVertex(k, v.center, v.context) for k in range(meet + 1, v.level + 1)
-    )
+    d = distance(u, v)
+    check_size("geodesic", "vertices", DEFAULT_NODE_CAP, (d + 1,))
+    meet = (u.level + v.level - d) // 2
+    path = [TreeVertex(k, u.center, u.context) for k in range(u.level, meet - 1, -1)]
+    path += [TreeVertex(k, v.center, v.context) for k in range(meet + 1, v.level + 1)]
     return path
 
 
@@ -233,9 +233,6 @@ class TreeBall:
     edges: Tuple[TreeEdge, ...]
 
 
-DEFAULT_NODE_CAP = 100_000
-
-
 def ball_vertex_count(p: int, radius: int) -> int:
     """1 + (p+1)(p^R - 1)/(p - 1): the vertex count of a radius-R ball."""
     if radius <= 0:
@@ -249,24 +246,12 @@ def tree_ball(
     """Breadth-first ball with deterministic vertex and edge order."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    predicted = ball_vertex_count(center.context.p, radius)
-    if predicted > max_nodes:
-        raise CapExceededError(
-            f"ball would hold {predicted} vertices, cap is {max_nodes}"
-        )
-    vertices = [center]
-    edges: List[TreeEdge] = []
-    seen = {center}
-    frontier = [center]
+    check_size("ball", "vertices", max_nodes,
+               sphere_sizes(center.context.p + 1, radius))
+    # (vertex, parent) pairs: in a tree every neighbour but the parent is new
+    vertices, edges, frontier = [center], [], [(center, None)]
     for _ in range(radius):
-        nxt: List[TreeVertex] = []
-        for u in frontier:
-            for w in neighbors(u):
-                if w in seen:
-                    continue
-                seen.add(w)
-                vertices.append(w)
-                edges.append(TreeEdge(u, w))
-                nxt.append(w)
-        frontier = nxt
+        frontier = [(w, u) for u, up in frontier for w in neighbors(u) if w != up]
+        vertices.extend(w for w, _ in frontier)
+        edges.extend(TreeEdge(u, w) for w, u in frontier)
     return TreeBall(center, radius, tuple(vertices), tuple(edges))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -233,14 +234,13 @@ class _Parser:
             if tok is None or (stop_at_close and tok[0] == "close"):
                 return letters
             base, power = self.parse_term()
-            n = len(letters) + len(base) * power
-            if n > DEFAULT_WORD_CAP:
-                raise CapExceededError(
-                    f"word would have {n} letters, cap is {DEFAULT_WORD_CAP}")
+            check_size("word", "letters", DEFAULT_WORD_CAP, (
+                len(letters), None if power is None else len(base) * power))
             letters.extend(base * power)
 
-    def parse_term(self) -> Tuple[List[int], int]:
-        """One term as (letters, power), the power left unexpanded."""
+    def parse_term(self) -> Tuple[List[int], Optional[int]]:
+        """One term as (letters, power), the power left unexpanded, or None
+        past the 4300 digits int() reads."""
         tok = self.take()
         if tok is None:
             raise WordSyntaxError("unexpected end of input", self.length)
@@ -270,13 +270,10 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 where = exp_tok[2] if exp_tok else self.length
                 raise WordSyntaxError("'^' must be followed by an integer", where)
-            # more digits than the cap means a power past it; checked before
-            # int(), which refuses strings of over 4300 digits
-            digits = exp_tok[1].lstrip("+-").lstrip("0")
-            if base and len(digits) > len(str(DEFAULT_WORD_CAP)):
-                raise CapExceededError(f"exponent of {len(digits)} digits "
-                                       f"passes the word cap {DEFAULT_WORD_CAP}")
-            power = int(digits or "0") if base else 0
+            try:
+                power = int(exp_tok[1].lstrip("+-").lstrip("0") or "0") if base else 0
+            except ValueError:
+                power = None
             if exp_tok[1].startswith("-"):
                 base = [-x for x in reversed(base)]
         return base, power
@@ -349,24 +346,32 @@ def word_sort_key(letters: Sequence[int]) -> Tuple:
     return (len(letters), tuple(2 * abs(x) - (x > 0) for x in letters))
 
 
+def check_size(what: str, unit: str, cap: int, terms: Iterable[Optional[int]]):
+    """The guard before every enumeration sized by the input: raise
+    CapExceededError if the terms (say, level sizes) sum past cap.  They
+    are summed lazily; a sum past both cap and 2**64, or a None term (too
+    large to compute), is refused as "more than cap" without being built."""
+    total = 0
+    for term in terms:
+        if term is None or (total := total + term) > max(cap, 1 << 64):
+            raise CapExceededError(
+                f"{what} would hold more than {cap} {unit}, cap is {cap}")
+    if total > cap:
+        raise CapExceededError(f"{what} would hold {total} {unit}, cap is {cap}")
+
+
+def sphere_sizes(valency: int, radius: int) -> Iterator[int]:
+    """Vertex counts at distance 0..radius in the valency-regular tree
+    (2 * rank for words, p + 1 for lattices), lazily.  A line (valency 2)
+    grows only linearly, so its 2 * radius + 1 vertices are one term."""
+    if valency == 2:
+        return iter((2 * radius + 1,))
+    return chain((1,), (valency * (valency - 1) ** k for k in range(radius)))
+
+
 def ball_size(rank: int, max_len: int) -> int:
     """Count of freely reduced words of length <= max_len."""
-    total, level = 1, 0
-    for k in range(1, max_len + 1):
-        level = 2 * rank if k == 1 else level * (2 * rank - 1)
-        total += level
-    return total
-
-
-def check_ball(rank: int, max_len: int, max_words: int, what: str, predicted=None):
-    """Reject a negative bound, or more than max_words words: the ball's,
-    or the given count of words built from it."""
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
-    predicted = ball_size(rank, max_len) if predicted is None else predicted
-    if predicted > max_words:
-        raise CapExceededError(
-            f"{what} would hold {predicted} words, cap is {max_words}")
+    return sum(sphere_sizes(2 * rank, max_len))
 
 
 def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[Word, object]]:
@@ -376,6 +381,8 @@ def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[Word, objec
     of their last letter, keeps the next level sorted.  The empty word's
     state is root and a child's is step(parent_state, letter).
     """
+    if max_len < 0:
+        raise ValidationError("max_len must be >= 0")
     alphabet = letter_alphabet(rank)
     level = [((), root)]
     for depth in range(max_len, 0, -1):
@@ -403,7 +410,7 @@ def ball(
     directly after its generator.  Relators are deliberately ignored:
     the ball is always the free-group ball over the generator alphabet.
     """
-    check_ball(presentation.rank, max_len, max_words, "ball")
+    check_size("ball", "words", max_words, sphere_sizes(2 * presentation.rank, max_len))
     walk = ball_walk(presentation.rank, max_len, None, lambda state, x: None)
     return [Word(())] + [w for w, _ in walk]
 

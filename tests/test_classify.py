@@ -351,6 +351,9 @@ def test_commutator_scan_counts_pairs_before_building_them():
     try:
         with pytest.raises(CapExceededError, match="5196313"):
             commutator_trace_scan(sl2z_pair(CTX), max_total_len=11)
+        # a huge bound is refused after a few pair counts
+        with pytest.raises(CapExceededError, match="more than 500000 pairs"):
+            commutator_trace_scan(sl2z_pair(CTX), max_total_len=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sl2trees
 from sl2trees import (
@@ -249,6 +252,14 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     )
     assert code == 1
     assert err == "error: ball would hold 39365 vertices, cap is 10\n"
+    words = "error: spectrum would hold more than 500000 words, cap is 500000\n"
+    nodes = "error: ball would hold more than 100000 vertices, cap is 100000\n"
+    for argv, expected in (
+            (["spectrum", rep_path, "--max-len", "10000"], words),
+            (["spectrum", rep_path, "--max-len", "1000000000"], words),
+            (["tree", "ball", "--prime", "3", "--radius", "10000"], nodes),
+            (["tree", "ball", "--prime", "3", "--radius", "1000000000"], nodes)):
+        assert run(capsys, argv) == (1, "", expected)
     code, _, err = run(capsys, ["length", rep_path, "a c"])
     assert code == 1 and err == "error: unknown generator 'c'\n"
     bad = tmp_path / "bad.json"
@@ -284,6 +295,20 @@ def test_overlong_repfile_number_fails_cleanly(tmp_path, entry):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "4300 digits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "distance", "--prime", "3", "(10000000; 1)", "(0; 0)"],
+    ["tree", "geodesic", "--prime", "3", "(9100; 0)", "(9100; -1)"],
+    # a center of 4304 digits: (9000; -1/3^20) reduces to r/3^20, r < 3^9020
+    ["tree", "ball", "--prime", "3", "--center", "(9000; -1/3486784401)",
+     "--radius", "0"],
+])
+def test_vertex_past_4300_digits_fails_cleanly(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "4300 digits" in err
+    assert err.count("\n") == 1
 
 
 def test_python_m_sl2trees_runs_the_cli():
@@ -322,3 +347,92 @@ def test_axis_of_elliptic_word_fails_cleanly(capsys, tmp_path):
     code, out, err = run(capsys, ["tree", "axis", str(path), "a"])
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+# -- fuzzing the whole command line --------------------------------------
+
+# every integer argument, vertex level and word power: negatives, 0, small
+# values, and huge ones past every cap
+INTS = st.one_of(st.integers(-10**18, -1), st.integers(0, 12),
+                 st.integers(10**4, 10**18))
+# caps small enough that every accepted run stays fast
+SMALL_CAPS = st.integers(-3, 2000).map(str)
+NUMBERS = INTS.map(str)
+PRIMES = st.one_of(st.sampled_from(["2", "3", "5"]), NUMBERS)
+POWERS = st.builds("{}^{}".format, st.sampled_from(["a", "a'", "b", "b'", "1", "c"]),
+                   NUMBERS)
+WORDS = st.lists(POWERS, min_size=1, max_size=3).map(" ".join)
+VERTICES = st.one_of(
+    st.builds("({}; {})".format, NUMBERS, NUMBERS),
+    st.builds("({}; {}/{})".format, NUMBERS, NUMBERS, NUMBERS),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_reps(tmp_path_factory):
+    # words of a few powers have small images under the integral pair, so
+    # even one of 500000 letters evaluates in well under a second; under
+    # the unbounded pair the entries of a^n grow with n, and length of
+    # a^100000 alone takes seconds, so that pair gets only short words
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, rep in (("integral", sl2z_pair(CTX)),
+                      ("unbounded", unbounded_irreducible_rep(CTX))):
+        paths.append(str(folder / f"{name}.json"))
+        save_representation(rep, paths[-1])
+    return paths
+
+
+def _argv(data, reps):
+    integral, unbounded = reps
+    command = data.draw(st.sampled_from(
+        ["classify", "spectrum", "length", "trace-poly",
+         "ball", "distance", "geodesic", "axis"]))
+    if command == "classify":
+        return ["classify", data.draw(st.sampled_from(reps)),
+                "--max-iterations", data.draw(NUMBERS)]
+    if command == "spectrum":
+        return ["spectrum", data.draw(st.sampled_from(reps)),
+                "--max-len", data.draw(NUMBERS), "--max-words", data.draw(SMALL_CAPS)]
+    if command == "length":
+        return ["length", integral] + data.draw(st.lists(WORDS, min_size=1, max_size=2))
+    if command == "trace-poly":
+        # one power: the rewriter's memory has no bound on a long word of
+        # two letters ("b^-804 b^12 a^-804" at rank 12 fills gigabytes)
+        return ["trace-poly", data.draw(POWERS), "--rank", data.draw(NUMBERS)]
+    if command == "axis":
+        path, word = data.draw(st.one_of(
+            st.tuples(st.just(integral), WORDS),
+            # translation length 10, so every window from 10**4 up passes the
+            # cap and the accepted ones stay small: an axis of thousands of
+            # vertices takes minutes
+            st.tuples(st.just(unbounded), st.sampled_from(["a^5", "b a^5", "a^-5 b"]))))
+        return ["tree", "axis", path, word, "--window", data.draw(NUMBERS)]
+    prime = ["--prime", data.draw(PRIMES)]
+    if command == "ball":
+        return ["tree", "ball", *prime, "--center", data.draw(VERTICES),
+                "--radius", data.draw(NUMBERS), "--max-nodes", data.draw(SMALL_CAPS),
+                *data.draw(st.sampled_from([[], ["--dot"]]))]
+    return ["tree", command, *prime, data.draw(VERTICES), data.draw(VERTICES)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(argv=["tree", "distance", "--prime", "3", "(10000000; 1)", "(0; 0)"])
+@example(argv=["tree", "geodesic", "--prime", "3", "(9100; 0)", "(9100; -1)"])
+@example(argv=["tree", "ball", "--prime", "3", "--radius", "10000"])
+@given(argv=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_reps, argv):
+    if not isinstance(argv, list):
+        argv = _argv(argv, fuzz_reps)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

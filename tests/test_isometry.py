@@ -7,6 +7,7 @@ import pytest
 from sl2trees import (
     ELLIPTIC,
     HYPERBOLIC,
+    CapExceededError,
     NotEllipticError,
     NotHyperbolicError,
     PrimeContext,
@@ -141,6 +142,14 @@ def test_axis_properties():
             assert distance(v, act(g, v)) == l
             if i + l < len(seg.vertices):
                 assert act(g, v) == seg.vertices[i + l]
+
+
+def test_axis_segment_cap():
+    # 2 * ceil(window / 2) * shift + 1 vertices, refused before any is built
+    for window, count in ((50_000, 100_001), (10**9, 2_000_000_001)):
+        with pytest.raises(CapExceededError, match=f"^axis segment would hold "
+                           f"{count} vertices, cap is 100000$"):
+            axis_segment(diag(1), window)
 
 
 def test_axis_rejects_elliptic():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,25 @@ def test_spectrum_word_cap():
         spectrum(unbounded_irreducible_rep(CTX), 12)
     with pytest.raises(CapExceededError):
         spectrum(unbounded_irreducible_rep(CTX), 3, max_words=10)
+    # huge bounds are refused after a few level sizes, in a fixed message
+    rank2 = unbounded_irreducible_rep(CTX)
+    rank1 = Representation(Presentation.free(1), {"a": rank2.matrix("a")})
+    more = "more than {0} words, cap is {0}$"
+    for rep, max_len, max_words, tail in (
+            (rank2, 10**4, 500_000, more),
+            (rank2, 10**9, 500_000, more),
+            (rank1, 10**9, 500_000, "2000000001 words, cap is {0}$"),
+            (rank2, 10**18, 10**18, more),
+            (rank1, 10**18, 10**18, "2000000000000000001 words, cap is {0}$")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError,
+                               match="^spectrum would hold " + tail.format(max_words)):
+                spectrum(rep, max_len, max_words=max_words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def test_bounded_rep_spectrum_is_zero():

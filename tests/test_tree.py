@@ -25,6 +25,8 @@ from sl2trees import (
     vertex_type,
 )
 
+from sl2trees.tree import DEFAULT_NODE_CAP
+
 from conftest import random_integral_sl2, random_sl2
 
 CTX = PrimeContext(3)
@@ -68,10 +70,16 @@ def test_vertex_text_and_parse_round_trip():
         parse_vertex("2; 4", CTX)
     with pytest.raises(ValidationError):
         parse_vertex("(2; 1/0)", CTX)
+    # 3**9012 has 4300 digits and 3**9013 has 4301
+    assert parse_vertex("(9012; 0)", CTX).level == 9012
     for text in ("(" + "1" * 5000 + "; 0)", "(2; " + "1" * 5000 + ")",
-                 "(2; 1/" + "3" * 5000 + ")"):
+                 "(2; 1/" + "3" * 5000 + ")", "(9013; 0)", "(-9013; 0)",
+                 "(10000000; 1)"):
         with pytest.raises(ValidationError, match="4300 digits"):
             parse_vertex(text, CTX)
+    # the center of (9100; -1) is 3**9100 - 1, of 4342 digits
+    with pytest.raises(ValidationError, match="4300 digits"):
+        TreeVertex(9100, -1, CTX).text()
 
 
 def test_canonical_vertex_frozen():
@@ -279,6 +287,20 @@ def test_tree_ball_cap():
     # explicit budget raises earlier
     with pytest.raises(CapExceededError):
         tree_ball(TreeVertex(0, 0, CTX), 3, max_nodes=10)
+    for radius in (10**4, 10**9):
+        with pytest.raises(CapExceededError, match="^ball would hold more than "
+                           "100000 vertices, cap is 100000$"):
+            tree_ball(TreeVertex(0, 0, CTX), radius)
+
+
+def test_geodesic_cap():
+    origin = TreeVertex(0, 0, CTX)
+    far = TreeVertex(DEFAULT_NODE_CAP - 1, 0, CTX)
+    assert len(geodesic(origin, far)) == DEFAULT_NODE_CAP
+    for level, count in ((DEFAULT_NODE_CAP, 100001), (10**9, 1000000001)):
+        with pytest.raises(CapExceededError, match=f"^geodesic would hold {count} "
+                           "vertices, cap is 100000$"):
+            geodesic(origin, TreeVertex(level, 0, CTX))
 
 
 def test_neighbors_match_independent_triple_arithmetic():

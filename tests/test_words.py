@@ -218,6 +218,24 @@ def test_ball_shortlex_order():
 def test_ball_cap():
     with pytest.raises(CapExceededError):
         ball(FREE2, 10, max_words=100)
+    # huge bounds are refused after a few level sizes, in a fixed message
+    free1 = Presentation.free(1)
+    more = "more than {0} words, cap is {0}$"
+    for presentation, max_len, max_words, tail in (
+            (FREE2, 10**4, DEFAULT_WORD_CAP, more),
+            (FREE2, 10**9, DEFAULT_WORD_CAP, more),
+            (free1, 10**9, DEFAULT_WORD_CAP, "2000000001 words, cap is {0}$"),
+            (FREE2, 10**18, 10**18, more),
+            (free1, 10**18, 10**18, "2000000000000000001 words, cap is {0}$")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError,
+                               match="^ball would hold " + tail.format(max_words)):
+                ball(presentation, max_len, max_words=max_words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
     assert ball(FREE2, 0) == [Word(())]
     with pytest.raises(ValidationError):
         ball(FREE2, -1)
