@@ -98,7 +98,9 @@ from .spectrum import (
     compare_spectra,
     length_of,
     spectrum,
+    spectrum_rows,
     to_tsv,
+    write_tsv,
 )
 from .repfile import (
     load_representation,

@@ -370,7 +370,7 @@ def commutator_trace_scan(
     walk = ball_walk(rank, max_total_len, IDENTITY,
                      lambda m, x: scaled_mul(m, table[x]))
     rows = []
-    for u, (a, b, c, d, den) in [((), IDENTITY)] + [(w.letters, m) for w, m in walk]:
+    for u, (a, b, c, d, den) in walk:
         rows.append((u, tuple(-x for x in reversed(u)),
                      a, b, c, d, a + d, (a + d) ** 2, den * den))
     ctx = rep.context

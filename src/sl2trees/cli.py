@@ -8,6 +8,7 @@ same input file and flags, same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -16,7 +17,7 @@ from .errors import Sl2TreesError
 from .field import PrimeContext
 from .isometry import axis_segment
 from .repfile import load_representation
-from .spectrum import length_of, spectrum, to_tsv
+from .spectrum import length_of, spectrum_rows, write_tsv
 from .traces import trace_polynomial
 from .tree import (
     DEFAULT_NODE_CAP,
@@ -80,13 +81,13 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rep = load_representation(args.path)
-    spec = spectrum(rep, args.max_len, max_words=args.max_words)
-    text = to_tsv(spec)
-    if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # refused requests raise here, before --tsv is opened or truncated
+    rows = spectrum_rows(rep, args.max_len, max_words=args.max_words)
+    fingerprint = rep.fundamental()
+    with (open(args.tsv, "w", encoding="utf-8") if args.tsv
+          else contextlib.nullcontext(sys.stdout)) as out:
+        write_tsv(out, rep.presentation, rep.context.p, args.max_len,
+                  fingerprint, rows)
     return 0
 
 

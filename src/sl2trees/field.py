@@ -54,21 +54,27 @@ def is_prime(n: int) -> bool:
 
 
 def _val_fraction(q: Union[int, Fraction], p: int):
-    """Exponent of p in a nonzero int or Fraction; math.inf for 0."""
-    if q == 0:
+    """Exponent of p in a nonzero int or Fraction; math.inf for 0.  O(log v)
+    divisions: strip p, p^2, p^4, ... while each divides, then the same
+    powers from the largest down give the rest's bits."""
+    n, sign = q.numerator, 1
+    if not n:
         return INFINITY
-    num = q.numerator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v  # reduced fraction: p cannot also divide the denominator
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    if n % p:  # reduced fraction: p divides at most one of the two
+        n, sign = q.denominator, -1
+        if n % p:
+            return 0
+    powers, b, v = [], p, 0
+    while n % b == 0:
+        n //= b
+        powers.append(b)
+        b *= b
+    for b in reversed(powers):
+        v += v
+        if n % b == 0:
+            n //= b
+            v += 1
+    return sign * (v + (1 << len(powers)) - 1)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ The spectrum pairs every freely reduced word up to a length bound with
 its translation length, walking the ball level by level in shortlex
 order (words.ball_walk): one exact 2x2 integer product per word on its
 prefix's image, denominators kept only as valuations, and no final sort.
+spectrum_rows yields the rows as they come, for write_tsv to stream.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, TextIO, Tuple
 
 from .classify import Representation
 from .errors import ShapeMismatchError
@@ -17,7 +20,11 @@ from .field import _val_fraction
 from .isometry import translation_length
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Word, ball_walk, check_size, sphere_sizes, word_texts)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_size,
+    sphere_sizes, word_texts)
+
+Row = Tuple[Tuple[int, ...], int]  # a word's letters and its length
+_CHUNK = 4096  # rows formatted per write
 
 
 def length_of(rep: Representation, w: Word) -> int:
@@ -37,20 +44,18 @@ class LengthSpectrum:
     fingerprint: FundamentalTraceVector
 
 
-def spectrum(
-    rep: Representation,
-    max_len: int,
-    max_words: int = DEFAULT_WORD_CAP,
-) -> LengthSpectrum:
-    """Lengths of every reduced word with |w| <= max_len, shortlex order.
+def spectrum_rows(rep: Representation, max_len: int,
+                  max_words: int = DEFAULT_WORD_CAP) -> Iterator[Row]:
+    """(letters, length) for every reduced word with |w| <= max_len, in
+    shortlex order, each as the walk reaches it; no Word is built.  The
+    size is checked at the call, before the first row.
 
     A word's image is its prefix's times one letter, as integer matrices
     whose denominators are tracked only by their valuation v; the length
     needs only v(trace) against that v.
     """
-    presentation = rep.presentation
     check_size("spectrum", "words", max_words,
-               sphere_sizes(2 * presentation.rank, max_len))
+               sphere_sizes(2 * rep.presentation.rank, max_len))
     p = rep.context.p
     gens = {x: (a, b, c, d, _val_fraction(den, p))
             for x, (a, b, c, d, den) in rep._letters.items()}
@@ -61,22 +66,28 @@ def spectrum(
         return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
                 v + vl)
 
-    entries: List[Tuple[Word, int]] = [(Word(()), 0)]
-    walk = ball_walk(presentation.rank, max_len, (1, 0, 0, 1, 0), step)
-    for w, (a, _, _, d, v) in walk:
-        # length -2 min(0, v(tr) - v): strip at most v factors of p
-        tr, k = a + d, 0
-        while k < v and tr % p == 0:
-            tr //= p
-            k += 1
-        entries.append((w, 2 * (v - k)))
-    return LengthSpectrum(
-        presentation=presentation,
-        prime=p,
-        max_len=max_len,
-        entries=tuple(entries),
-        fingerprint=rep.fundamental(),
-    )
+    walk = ball_walk(rep.presentation.rank, max_len, (1, 0, 0, 1, 0), step)
+
+    def rows():
+        for u, (a, _, _, d, v) in walk:
+            # length -2 min(0, v(tr) - v): strip at most v factors of p
+            tr, k = a + d, 0
+            while k < v and tr % p == 0:
+                tr //= p
+                k += 1
+            yield u, 2 * (v - k)
+
+    return rows()
+
+
+def spectrum(rep: Representation, max_len: int,
+             max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
+    """Lengths of every reduced word with |w| <= max_len, shortlex order:
+    the rows of spectrum_rows, kept."""
+    entries = tuple((_trusted_word(u), ell)
+                    for u, ell in spectrum_rows(rep, max_len, max_words))
+    return LengthSpectrum(rep.presentation, rep.context.p, max_len, entries,
+                          rep.fundamental())
 
 
 @dataclass(frozen=True)
@@ -114,16 +125,28 @@ def compare_spectra(
     )
 
 
-def to_tsv(spec: LengthSpectrum) -> str:
-    """Deterministic TSV: header block, fingerprint block, then rows."""
+def write_tsv(out: TextIO, presentation: Presentation, prime: int, max_len: int,
+              fingerprint: FundamentalTraceVector, rows: Iterable[Row]) -> None:
+    """Deterministic TSV to a text handle: header block, fingerprint
+    block, then one line per (letters, length) row, written _CHUNK rows at
+    a time, so a row iterator is never held whole."""
     lines = [
-        f"# presentation\t{spec.presentation.descriptor()}",
-        f"# prime\t{spec.prime}",
-        f"# max_len\t{spec.max_len}",
+        f"# presentation\t{presentation.descriptor()}",
+        f"# prime\t{prime}",
+        f"# max_len\t{max_len}",
     ]
-    for key, value in spec.fingerprint.ordered():
+    for key, value in fingerprint.ordered():
         lines.append(f"# fingerprint\t{variable_name(key)}\t{value}")
-    lines.append("word\tlength")
-    texts = word_texts((w for w, _ in spec.entries), spec.presentation)
-    lines.extend(f"{t}\t{ell}" for t, (_, ell) in zip(texts, spec.entries))
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\nword\tlength\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        texts = word_texts((u for u, _ in chunk), presentation)
+        out.write("".join([f"{t}\t{ell}\n" for t, (_, ell) in zip(texts, chunk)]))
+
+
+def to_tsv(spec: LengthSpectrum) -> str:
+    """The TSV of write_tsv as one string."""
+    out = io.StringIO()
+    write_tsv(out, spec.presentation, spec.prime, spec.max_len,
+              spec.fingerprint, ((w.letters, ell) for w, ell in spec.entries))
+    return out.getvalue()

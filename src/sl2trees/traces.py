@@ -189,44 +189,31 @@ class TracePolynomial:
         """Canonical form: terms by rising degree then variable order,
         with the constant written last, e.g.
         t1^2 + t2^2 + t12^2 - t1*t2*t12 - 2."""
-        if not self._terms:
-            return "0"
-        ordered = sorted(
-            ((_decode(m), c) for m, c in self._terms.items() if m),
-            key=lambda kv: _mono_sort_key(kv[0]),
-        )
-        const = self._terms.get(0, 0)
-        if const:
-            ordered.append(((), const))
+        table = [(_var_order(s), variable_name(s)) for s in _VAR_BIT]
+        ordered = []
+        for mono, coeff in self._terms.items():
+            runs, k = [], 0  # (variable order, -exponent, name) per variable
+            while mono:
+                if mono & _FIELD:
+                    runs.append((table[k][0], -(mono & _FIELD), table[k][1]))
+                mono >>= _W
+                k += 1
+            runs.sort()  # a larger power of a variable sorts first
+            ordered.append((not runs, -sum(e for _, e, _ in runs), runs, coeff))
         pieces: List[str] = []
-        for mono, coeff in ordered:
-            body = _mono_text(mono, abs(coeff))
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+        for _, _, runs, coeff in sorted(ordered):
+            factors = [n if e == -1 else f"{n}^{-e}" for _, e, n in runs]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+        text = "".join(pieces) or " + 0"  # the first term keeps only a minus
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self):
         return self.text()
 
     def __repr__(self):
         return f"TracePolynomial({self.text()})"
-
-
-def _mono_sort_key(mono: Monomial):
-    return (len(mono), tuple(_var_order(v) for v in mono))
-
-
-def _mono_text(mono: Monomial, coeff: int) -> str:
-    if not mono:
-        return str(coeff)
-    factors = []
-    for v, group in itertools.groupby(mono):
-        e = len(list(group))
-        factors.append(variable_name(v) if e == 1 else f"{variable_name(v)}^{e}")
-    body = "*".join(factors)
-    return body if coeff == 1 else f"{coeff}*{body}"
 
 
 def _as_poly(x) -> TracePolynomial:

@@ -293,14 +293,14 @@ def parse_word(text: str, presentation: Presentation) -> Word:
     return Word(tuple(letters))
 
 
-def word_texts(ws: Iterable[Word], presentation: Presentation) -> Iterator[str]:
-    """Canonical text of each word: spaced letter names, "1" if empty."""
+def word_texts(ws: Iterable[Tuple[int, ...]], presentation: Presentation) -> Iterator[str]:
+    """Canonical text of each word's letters: spaced names, "1" if empty."""
     gens = presentation.generators
     names = {x: gens[abs(x) - 1] + ("" if x > 0 else "'")
              for x in letter_alphabet(len(gens))}
-    for w in ws:
+    for letters in ws:
         try:
-            text = " ".join([names[x] for x in w.letters]) if w.letters else "1"
+            text = " ".join([names[x] for x in letters]) if letters else "1"
         except KeyError as exc:
             raise UnknownGeneratorError(
                 f"letter {exc.args[0]} outside rank {len(gens)}") from None
@@ -309,7 +309,7 @@ def word_texts(ws: Iterable[Word], presentation: Presentation) -> Iterator[str]:
 
 def word_to_text(w: Word, presentation: Presentation) -> str:
     """Canonical text of one word."""
-    return next(word_texts((w,), presentation))
+    return next(word_texts((w.letters,), presentation))
 
 
 # -- evaluation ---------------------------------------------------------
@@ -374,8 +374,9 @@ def ball_size(rank: int, max_len: int) -> int:
     return sum(sphere_sizes(2 * rank, max_len))
 
 
-def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[Word, object]]:
-    """(word, state) for each reduced word of length 1..max_len, shortlex.
+def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[tuple, object]]:
+    """(letters, state) for each reduced word of length 0..max_len, in
+    shortlex order, checking max_len at the call; no Word is built.
 
     Growing each level's sorted words by the alphabet, minus the inverse
     of their last letter, keeps the next level sorted.  The empty word's
@@ -383,19 +384,22 @@ def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[Word, objec
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    alphabet = letter_alphabet(rank)
+    return _walk_levels(letter_alphabet(rank), max_len, root, step)
+
+
+def _walk_levels(alphabet, max_len: int, root, step):
     level = [((), root)]
+    yield level[0]
     for depth in range(max_len, 0, -1):
         grown = []
         for stem, state in level:
             back = -stem[-1] if stem else 0
             for x in alphabet:
                 if x != back:
-                    letters = stem + (x,)
-                    child = step(state, x)
+                    row = (stem + (x,), step(state, x))
                     if depth > 1:
-                        grown.append((letters, child))
-                    yield _trusted_word(letters), child
+                        grown.append(row)
+                    yield row
         level = grown
 
 
@@ -412,7 +416,7 @@ def ball(
     """
     check_size("ball", "words", max_words, sphere_sizes(2 * presentation.rank, max_len))
     walk = ball_walk(presentation.rank, max_len, None, lambda state, x: None)
-    return [Word(())] + [w for w, _ in walk]
+    return [_trusted_word(u) for u, _ in walk]
 
 
 # -- Dehn reduction ------------------------------------------------------

@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,19 @@ from sl2trees import (
     SL2Matrix,
     ball_size,
     save_representation,
+    spectrum,
+    to_tsv,
 )
 from sl2trees.cli import main
 
-from conftest import diag_rep, free2_rep, sl2z_pair, unbounded_irreducible_rep
+from conftest import (
+    diag_rep,
+    free2_rep,
+    random_noncommuting_pair,
+    random_sl2,
+    sl2z_pair,
+    unbounded_irreducible_rep,
+)
 
 CTX = PrimeContext(3)
 
@@ -230,6 +241,73 @@ def test_tree_axis(capsys, rep_path):
         "translation_length\t2\n"
         "(-2; 0)\n(-1; 0)\n(0; 0)\n(1; 0)\n(2; 0)\n"
     )
+
+
+def streamed_reps(p):
+    rng = random.Random(7700 + p)
+    ctx = PrimeContext(p)
+    a, b = random_noncommuting_pair(rng, ctx, steps=3)
+    c = random_sl2(rng, ctx, steps=3)
+    return {
+        "free1": Representation(Presentation.free(1), {"a": a}),
+        "free2": free2_rep(ctx, a, b),
+        "free3": Representation(Presentation.free(3), {"a": a, "b": b, "c": c}),
+        # a2 = b1 and b2 = a1, so [a1, b1][a2, b2] = 1 holds
+        "genus2": Representation(
+            Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a}),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("group, lengths", [
+    ("free1", (0, 1, 9)), ("free2", (0, 1, 5)), ("free3", (0, 2, 4)),
+    ("genus2", (0, 1, 3))], ids=["free1", "free2", "free3", "genus2"])
+def test_spectrum_stream_equals_to_tsv(capsys, tmp_path, p, group, lengths):
+    rep = streamed_reps(p)[group]
+    path = tmp_path / "rep.json"
+    save_representation(rep, str(path))
+    target = tmp_path / "out.tsv"
+    for max_len in lengths:
+        expected = to_tsv(spectrum(rep, max_len))
+        argv = ["spectrum", str(path), "--max-len", str(max_len)]
+        assert run(capsys, argv) == (0, expected, "")
+        assert run(capsys, argv + ["--tsv", str(target)]) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("max_len, max_words", [
+    ("1000000000", None), ("12", None), ("3", "10"), ("-1", None)],
+    ids=["huge", "over-cap", "over-max-words", "negative"])
+def test_refused_spectrum_leaves_the_tsv_file_alone(capsys, tmp_path, rep_path,
+                                                     max_len, max_words):
+    argv = ["spectrum", rep_path, "--max-len", max_len]
+    argv += ["--max-words", max_words] if max_words else []
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"earlier bytes\n")
+    code, out, err = run(capsys, argv + ["--tsv", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_bytes() == b"earlier bytes\n"
+    missing = tmp_path / "missing.tsv"
+    assert run(capsys, argv + ["--tsv", str(missing)])[0] == 1
+    assert not missing.exists()
+
+
+def test_spectrum_cli_streams_rows(capsys, tmp_path):
+    # free rank 2 at L = 10 has 118097 rows; holding them all (as Word
+    # objects, then as lines, then as one string) peaked at about 42 MB
+    path = tmp_path / "rep.json"
+    save_representation(unbounded_irreducible_rep(CTX), str(path))
+    target = tmp_path / "out.tsv"
+    argv = ["spectrum", str(path), "--max-len", "10", "--tsv", str(target)]
+    tracemalloc.start()
+    try:
+        assert run(capsys, argv) == (0, "", "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.read_bytes().count(b"\n") == 3 + 3 + 1 + ball_size(2, 10)
+    assert peak < 20_000_000
 
 
 def test_missing_file_is_a_clean_failure(capsys, tmp_path):

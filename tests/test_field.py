@@ -1,8 +1,10 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sl2trees import (
     INFINITY,
@@ -18,6 +20,8 @@ from sl2trees import (
     residue,
     valuation,
 )
+
+from sl2trees.field import _val_fraction
 
 from _oracles import padic_square_table, val_fraction
 
@@ -67,6 +71,28 @@ def test_valuation_laws_random():
             if vx != vy:
                 assert vs == min(vx, vy)
             assert ctx.valuation(x) == val_fraction(x, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), num=st.integers(-10**6, 10**6),
+       den=st.integers(1, 10**6), e=st.integers(-3000, 3000), as_int=st.booleans())
+@example(p=3, num=0, den=1, e=0, as_int=True)
+@example(p=3, num=0, den=7, e=5, as_int=False)
+@example(p=2, num=1, den=1, e=-2047, as_int=False)
+@example(p=7, num=1, den=1, e=1024, as_int=True)
+def test_val_fraction_matches_the_naive_loop(p, num, den, e, as_int):
+    # q = (num / den) * p^e: the p-power sits in the numerator or the
+    # denominator; as_int takes num * p^|e| as a plain int
+    q = num * p ** abs(e) if as_int else Fraction(num, den) * Fraction(p) ** e
+    assert _val_fraction(q, p) == val_fraction(Fraction(q), p)
+
+
+def test_val_fraction_of_a_high_power_is_fast():
+    # one factor of p per division took about 4 s here
+    start = time.perf_counter()
+    assert _val_fraction(Fraction(3**100000 * 7, 5), 3) == 100000
+    assert _val_fraction(Fraction(5, 7 * 3**30000), 3) == -30000
+    assert time.perf_counter() - start < 0.5
 
 
 def test_valuation_of_string_and_int_inputs():

@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,8 +19,10 @@ from sl2trees import (
     compare_spectra,
     length_of,
     spectrum,
+    spectrum_rows,
     to_tsv,
     translation_length,
+    write_tsv,
 )
 from sl2trees.spectrum import LengthSpectrum
 from sl2trees.words import word_sort_key
@@ -88,6 +91,33 @@ def test_spectrum_is_the_ball_in_shortlex_order():
         words = [w for w, _ in spectrum(rep, max_len).entries]
         assert words == ball(rep.presentation, max_len)
         assert words == sorted(words, key=lambda w: word_sort_key(w.letters))
+
+
+def test_spectrum_rows_stream_the_spectrum():
+    rng = random.Random(6604)
+    a, b = random_noncommuting_pair(rng, CTX, steps=3)
+    genus2 = Representation(
+        Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a})
+    for rep, max_len in ((unbounded_irreducible_rep(CTX), 0), (genus2, 3)):
+        spec = spectrum(rep, max_len)
+        rows = spectrum_rows(rep, max_len)
+        assert next(rows) == ((), 0)
+        assert [((), 0)] + list(rows) == [(w.letters, l) for w, l in spec.entries]
+        out = io.StringIO()
+        write_tsv(out, rep.presentation, CTX.p, max_len, rep.fundamental(),
+                  spectrum_rows(rep, max_len))
+        assert out.getvalue() == to_tsv(spec)
+
+
+def test_spectrum_rows_refuse_at_the_call():
+    # no row is asked for: the refusal must not wait for the first one
+    rep = unbounded_irreducible_rep(CTX)
+    with pytest.raises(CapExceededError):
+        spectrum_rows(rep, 10**9)
+    with pytest.raises(CapExceededError):
+        spectrum_rows(rep, 3, max_words=10)
+    with pytest.raises(ValidationError):
+        spectrum_rows(rep, -1)
 
 
 def test_spectrum_max_len_zero_and_negative():

@@ -175,6 +175,23 @@ def test_rank2_text_frozen():
     assert digest == CRITERION_3_RANK2_SHA256
 
 
+# sha256 of the texts of 216 seeded rank-2 to rank-4 words (lengths 1-12),
+# one per line, frozen from the text() that decoded each monomial into a
+# tuple of factors per sort key; 123 of them hold a power, 73 a coefficient
+# other than 1
+RANK_2_TO_4_SHA256 = (
+    "6963c91f36ab7a2f8e02ebe878c1ffbf8db030d92839ac0396f4d89def94ede9")
+
+
+def test_rank_2_to_4_text_frozen():
+    rng = random.Random(4411)
+    corpus = [(Word(random_letters(rng, rank, length)), rank)
+              for rank in (2, 3, 4) for length in range(1, 13) for _ in range(6)]
+    texts = [trace_polynomial(w, rank).text() for w, rank in corpus]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == RANK_2_TO_4_SHA256
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_trace_text_independent_of_memo(data):
