@@ -23,12 +23,12 @@ from .errors import (
 from .field import PrimeContext, ValuedRational, _val_fraction
 from .isometry import rational_eigenlines
 from .matrices import (
-    IDENTITY, SL2Matrix, inv2, letter_table, mul2, scaled_mul)
+    IDENTITY, SL2Matrix, inv2, letter_table, mul2, scaled_mul, unscaled)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
-from .tree import TreeVertex, _reduce_center, canonical_vertex
+from .tree import TreeVertex, _center, canonical_vertex
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
-    check_size, evaluate_with, sphere_sizes, word_to_text)
+    check_size, scaled_image, sphere_sizes, word_to_text)
 
 Line = Tuple[int, int]
 
@@ -77,7 +77,7 @@ class Representation:
         return dict(self.assignment)[name]
 
     def evaluate(self, w: Word) -> SL2Matrix:
-        return evaluate_with(w, self._letters, self.context)
+        return unscaled(scaled_image(w, self._letters), self.context)
 
     def trace(self, w: Word) -> ValuedRational:
         return self.evaluate(w).trace()
@@ -129,7 +129,7 @@ def _lattice_span(vectors: Sequence[Vec], p: int) -> LatticeForm:
         raise ValidationError("vectors span a rank-1 module")
     alpha = int(min(finite))
     y = pivot[0] * Fraction(p) ** beta / pivot[1]
-    return alpha, beta, _reduce_center(y, alpha, p)
+    return alpha, beta, _center(y.numerator, y.denominator, alpha, p)
 
 
 def _lattice_vectors(form: LatticeForm, p: int) -> List[Vec]:

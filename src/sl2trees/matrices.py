@@ -144,11 +144,17 @@ def scaled_mul(m: Scaled, n: Scaled) -> Scaled:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, k * l)
 
 
-def unscaled(m: Scaled, context: PrimeContext) -> SL2Matrix:
-    """The SL2Matrix of a scaled product, its determinant checked once."""
+def checked(m: Scaled) -> Scaled:
+    """m itself, once its determinant is checked to be 1."""
     a, b, c, d, den = m
     if a * d - b * c != den * den:
         raise DeterminantNotOneError("a scaled product lost determinant 1")
+    return m
+
+
+def unscaled(m: Scaled, context: PrimeContext) -> SL2Matrix:
+    """The SL2Matrix of a scaled product, its determinant checked once."""
+    a, b, c, d, den = checked(m)
     out = object.__new__(SL2Matrix)
     out.a, out.b = Fraction(a, den), Fraction(b, den)
     out.c, out.d = Fraction(c, den), Fraction(d, den)

@@ -17,19 +17,22 @@ from typing import Iterable, Iterator, List, TextIO, Tuple
 from .classify import Representation
 from .errors import ShapeMismatchError
 from .field import _val_fraction
-from .isometry import translation_length
+from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_size,
-    sphere_sizes, word_texts)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_ball,
+    scaled_image, word_texts)
 
 Row = Tuple[Tuple[int, ...], int]  # a word's letters and its length
 _CHUNK = 4096  # rows formatted per write
 
 
 def length_of(rep: Representation, w: Word) -> int:
-    """Translation length of the image of w."""
-    return translation_length(rep.evaluate(w))
+    """Translation length -2 min(0, v(tr)) of the image of w, from its
+    scaled image (a, b, c, d, den): 2 max(0, v(den) - v(a + d))."""
+    a, _, _, d, den = checked(scaled_image(w, rep._letters))
+    v = rep.context.valuation
+    return 2 * max(0, v(den) - v(a + d))
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,7 @@ def spectrum_rows(rep: Representation, max_len: int,
     whose denominators are tracked only by their valuation v; the length
     needs only v(trace) against that v.
     """
-    check_size("spectrum", "words", max_words,
-               sphere_sizes(2 * rep.presentation.rank, max_len))
+    check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p = rep.context.p
     gens = {x: (a, b, c, d, _val_fraction(den, p))
             for x, (a, b, c, d, den) in rep._letters.items()}

@@ -8,6 +8,7 @@ that pair is the canonical vertex datum used everywhere below.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,31 +16,28 @@ from typing import List, Tuple, Union
 
 from .errors import ContextMismatchError, SingularMatrixError, ValidationError
 from .field import PrimeContext, _coerce, _val_fraction
-from .matrices import SL2Matrix, inv2, mul2
+from .matrices import SL2Matrix, inv2, mul2, scaled
 from .words import check_size, sphere_sizes
 
 DEFAULT_NODE_CAP = 100_000
 
 
-def _reduce_center(c: Fraction, n: int, p: int) -> Fraction:
-    """Canonical representative of c modulo p^n times the local integers.
+def _center(b: int, d: int, n: int, p: int) -> Fraction:
+    """Canonical center of b/d at level n, for integers b and d != 0: the
+    rational in Z[1/p] and [0, p^n) whose difference from b/d has valuation
+    >= n.  With d = p^e q, q prime to p, it is b/q mod p^(n+e), over p^e."""
+    e = _val_fraction(d, p)
+    if b == 0 or n + e <= 0:  # then v(b/d) >= -e >= n
+        return Fraction(0)
+    pe, modulus = p ** e, p ** (n + e)
+    return Fraction(b * pow(d // pe, -1, modulus) % modulus, pe)
 
-    The result lies in Z[1/p] and in [0, p^n), and is congruent to c in
-    the sense that c minus the result has valuation >= n.  This is where
-    arbitrary rational input (denominators coprime to p included) gets
-    folded into the p-power-denominator normal form.
-    """
-    if c == 0:
-        return Fraction(0)
-    v = _val_fraction(c, p)
-    if v >= n:
-        return Fraction(0)
-    k = 0 if v >= 0 else -v
-    pk = p ** k
-    q = c.denominator // pk
-    modulus = p ** (n + k)
-    r = c.numerator * pow(q, -1, modulus) % modulus
-    return Fraction(r, pk)
+
+def _trusted(cls, *values):
+    """A frozen dataclass instance whose invariant holds by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,9 @@ class TreeVertex:
     def __init__(self, level: int, center, context: PrimeContext):
         if not isinstance(level, int):
             raise ValidationError(f"level must be an integer, got {level!r}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(
-            self, "center", _reduce_center(_coerce(center), level, context.p)
-        )
-        object.__setattr__(self, "context", context)
+        c = _coerce(center)  # fields set as in _trusted, past the frozen guard
+        self.__dict__.update(level=level, context=context,
+                             center=_center(c.numerator, c.denominator, level, context.p))
 
     def basis(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
         """Upper-triangular lattice basis [[p^n, c], [0, 1]]."""
@@ -146,11 +142,36 @@ def distance_via_matrices(u: TreeVertex, v: TreeVertex) -> int:
 
 def neighbors(v: TreeVertex) -> List[TreeVertex]:
     """The p+1 adjacent vertices: parent first, then children in digit order."""
-    p = v.context.p
-    out = [TreeVertex(v.level - 1, v.center, v.context)]
-    step = Fraction(p) ** v.level
-    for digit in range(p):
-        out.append(TreeVertex(v.level + 1, v.center + digit * step, v.context))
+    p, n, ctx = v.context.p, v.level, v.context
+    r, pe = v.center.numerator, v.center.denominator
+    out = [_trusted(TreeVertex, n - 1, _center(r, pe, n - 1, p), ctx)]
+    # child centers c + digit p^n, over the common denominator of c and p^n
+    den = pe if n >= 0 else max(pe, p ** -n)
+    r, step = r * (den // pe), den * p ** n if n >= 0 else den // p ** -n
+    return out + [_trusted(TreeVertex, n + 1, Fraction(r + digit * step, den), ctx)
+                  for digit in range(p)]
+
+
+def _lowered(v: TreeVertex, bottom: int) -> List[TreeVertex]:
+    """v and its parents down to level bottom.  At level k the center c =
+    r/p^e is r mod p^(k+e) over p^e: c itself while c < p^k, then reduced
+    by one running power of p."""
+    p, ctx, c = v.context.p, v.context, v.center
+    r, pe = c.numerator, c.denominator
+    top, power = 0, pe  # power = p^(top+e); top: least level with c < p^top
+    while power <= r:
+        top, power = top + 1, power * p
+    while power // p > r:
+        top, power = top - 1, power // p
+    top = min(top, v.level)  # a zero center is canonical at every level
+    out = [_trusted(TreeVertex, k, c, ctx)
+           for k in range(v.level, max(top, bottom) - 1, -1)]
+    for k in range(top - 1, bottom - 1, -1):
+        power //= p
+        if r and r >= power:
+            r %= power
+            c = Fraction(r, pe)
+        out.append(_trusted(TreeVertex, k, c, ctx))
     return out
 
 
@@ -159,17 +180,33 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     d = distance(u, v)
     check_size("geodesic", "vertices", DEFAULT_NODE_CAP, (d + 1,))
     meet = (u.level + v.level - d) // 2
-    path = [TreeVertex(k, u.center, u.context) for k in range(u.level, meet - 1, -1)]
-    path += [TreeVertex(k, v.center, v.context) for k in range(meet + 1, v.level + 1)]
-    return path
+    return _lowered(u, meet) + _lowered(v, meet + 1)[::-1]
+
+
+def _span_vertex(a: int, c: int, shift: int, b: int, d: int, vdet: int,
+                 context: PrimeContext) -> TreeVertex:
+    """Vertex of the lattice spanned by p^shift (a, c) and (b, d), integers
+    with v(det) = vdet.  Pivoting on the column of least bottom valuation,
+    say (b, d), gives the basis [[det/d^2, b/d], [0, 1]]."""
+    p = context.p
+    vc, vd = _val_fraction(c, p) + shift, _val_fraction(d, p)
+    if vc < vd:
+        b, d, vd = a, c, vc
+    n = vdet - 2 * vd
+    return _trusted(TreeVertex, n, _center(b, d, n, p), context)
 
 
 def act(g: SL2Matrix, v: TreeVertex) -> TreeVertex:
     """Image vertex under the linear action on lattice classes."""
     if g.context != v.context:
         raise ContextMismatchError("matrix and vertex primes differ")
-    m = mul2(g.rows(), v.basis())
-    return canonical_vertex(m, v.context)
+    a, b, c, d, den = scaled(g)
+    p, n = v.context.p, v.level
+    r, pe = v.center.numerator, v.center.denominator
+    e = _val_fraction(pe, p)
+    # the columns of den g p^e [[p^n, r/p^e], [0, 1]], of det den^2 p^(n+2e)
+    return _span_vertex(a, c, n + e, a * r + b * pe, c * r + d * pe,
+                        2 * _val_fraction(den, p) + n + 2 * e, v.context)
 
 
 def canonical_vertex(
@@ -177,35 +214,21 @@ def canonical_vertex(
 ) -> TreeVertex:
     """Canonical (level, center) of the lattice spanned by m's columns.
 
-    Accepts any invertible exact 2x2 matrix: column operations over the
-    local integers bring the bottom row to (0, 1), a global scaling and
-    a unit column scaling make the first column a power of p, and the
-    center is reduced into [0, p^n).
+    Accepts any invertible exact 2x2 matrix, scaled to integers (the
+    class is the same) for column operations over the local integers.
     """
     if isinstance(m, SL2Matrix):
-        context = m.context
-        rows = m.rows()
-    else:
-        if context is None:
-            raise ValidationError("plain matrix input needs an explicit context")
-        (a0, b0), (c0, d0) = m
-        rows = (
-            (_coerce(a0), _coerce(b0)),
-            (_coerce(c0), _coerce(d0)),
-        )
-    (a, b), (c, d) = rows
-    if a * d - b * c == 0:
+        context, m = m.context, m.rows()
+    elif context is None:
+        raise ValidationError("plain matrix input needs an explicit context")
+    (a0, b0), (c0, d0) = m
+    entries = [_coerce(x) for x in (a0, b0, c0, d0)]
+    den = math.lcm(*(x.denominator for x in entries))
+    a, b, c, d = (x.numerator * (den // x.denominator) for x in entries)
+    det = a * d - b * c
+    if det == 0:
         raise SingularMatrixError("lattice basis must be invertible")
-    p = context.p
-    if _val_fraction(c, p) < _val_fraction(d, p):
-        a, b = b, a
-        c, d = d, c
-    # bottom row to (0, 1): clear c against the pivot d, then scale by 1/d
-    a = a - (c / d) * b
-    x = a / d
-    y = b / d
-    n = int(_val_fraction(x, p))
-    return TreeVertex(n, y, context)
+    return _span_vertex(a, c, 0, b, d, _val_fraction(det, context.p), context)
 
 
 @dataclass(frozen=True)
@@ -253,5 +276,5 @@ def tree_ball(
     for _ in range(radius):
         frontier = [(w, u) for u, up in frontier for w in neighbors(u) if w != up]
         vertices.extend(w for w, _ in frontier)
-        edges.extend(TreeEdge(u, w) for w, u in frontier)
+        edges.extend(_trusted(TreeEdge, u, w) for w, u in frontier)
     return TreeBall(center, radius, tuple(vertices), tuple(edges))

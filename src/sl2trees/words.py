@@ -319,11 +319,11 @@ def evaluate(w: Word, matrices: Sequence[SL2Matrix]) -> SL2Matrix:
     """Image of a word under generator index -> matrix; empty word -> id."""
     if not matrices:
         raise ValidationError("evaluation needs at least one generator matrix")
-    return evaluate_with(w, letter_table(matrices), matrices[0].context)
+    return unscaled(scaled_image(w, letter_table(matrices)), matrices[0].context)
 
 
-def evaluate_with(w: Word, table: Dict[int, Scaled], context) -> SL2Matrix:
-    """Image of a word under a prebuilt matrices.letter_table."""
+def scaled_image(w: Word, table: Dict[int, Scaled]) -> Scaled:
+    """Scaled image of a word under a prebuilt matrices.letter_table."""
     image = IDENTITY
     try:
         for x in w.letters:
@@ -331,7 +331,7 @@ def evaluate_with(w: Word, table: Dict[int, Scaled], context) -> SL2Matrix:
     except KeyError as exc:
         raise UnknownGeneratorError(
             f"letter {exc.args[0]} outside rank {len(table) // 2}") from None
-    return unscaled(image, context)
+    return image
 
 
 # -- shortlex enumeration ----------------------------------------------
@@ -367,6 +367,15 @@ def sphere_sizes(valency: int, radius: int) -> Iterator[int]:
     if valency == 2:
         return iter((2 * radius + 1,))
     return chain((1,), (valency * (valency - 1) ** k for k in range(radius)))
+
+
+def check_ball(what: str, rank: int, max_len: int, max_words: int):
+    """check_size for a ball of reduced words: words against max_words,
+    letters (at rank 1, L(L + 1) in 2L + 1 words) against 16 * max_words."""
+    check_size(what, "words", max_words, sphere_sizes(2 * rank, max_len))
+    letters = ((max(max_len, 0) * (max_len + 1),) if rank == 1 else
+               (k * s for k, s in enumerate(sphere_sizes(2 * rank, max_len))))
+    check_size(what, "letters", 16 * max_words, letters)
 
 
 def ball_size(rank: int, max_len: int) -> int:
@@ -414,7 +423,7 @@ def ball(
     directly after its generator.  Relators are deliberately ignored:
     the ball is always the free-group ball over the generator alphabet.
     """
-    check_size("ball", "words", max_words, sphere_sizes(2 * presentation.rank, max_len))
+    check_ball("ball", presentation.rank, max_len, max_words)
     walk = ball_walk(presentation.rank, max_len, None, lambda state, x: None)
     return [_trusted_word(u) for u, _ in walk]
 

@@ -103,6 +103,36 @@ def displacement(v, g_num, den, p):
     return -2 * (min(vals) - val_int(den, p))
 
 
+def reduce_center(c, n, p):
+    """c modulo p^n times the local integers, as the representative in
+    Z[1/p] and in [0, p^n), on Fractions."""
+    if c == 0 or val_fraction(c, p) >= n:
+        return Fraction(0)
+    k = max(0, -val_fraction(c, p))
+    modulus = p ** (n + k)
+    q = c.denominator // p ** k
+    return Fraction(c.numerator * pow(q, -1, modulus) % modulus, p ** k)
+
+
+def canonical_fraction(rows, p):
+    """(level, center) of the lattice spanned by the columns of a 2x2
+    matrix of Fractions: the column with the lower bottom valuation is the
+    pivot, the other column is cleared against it, and both are scaled by
+    the pivot's bottom entry, all in Fraction arithmetic."""
+    (a, b), (c, d) = rows
+    if val_fraction(c, p) < val_fraction(d, p):
+        a, b, c, d = b, a, d, c
+    n = val_fraction((a - (c / d) * b) / d, p)
+    return n, reduce_center(b / d, n, p)
+
+
+def act_fraction(g_rows, level, center, p):
+    """(level, center) of g times the vertex basis [[p^n, c], [0, 1]]."""
+    (a, b), (c, d) = g_rows
+    e, f = Fraction(p) ** level, center
+    return canonical_fraction(((a * e, a * f + b), (c * e, c * f + d)), p)
+
+
 def graph_distance(adjacency, start, goal):
     if start == goal:
         return 0

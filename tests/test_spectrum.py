@@ -4,9 +4,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
+    DeterminantNotOneError,
     PrimeContext,
     Presentation,
     Representation,
@@ -135,6 +137,55 @@ def test_length_of_values():
     assert length_of(rep, Word((2,))) == 0
 
 
+@st.composite
+def length_cases(draw):
+    """A free rank-2 representation, its b sometimes of trace 0, and a
+    word that may hold the out-of-rank letters 3 and -5."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    a = random_sl2(rng, ctx)
+    if draw(st.booleans()):
+        x = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 30)))
+        y = Fraction(draw(st.integers(1, 50)), p ** draw(st.integers(0, 3)))
+        b = SL2Matrix(((x, y), (-(1 + x * x) / y, -x)), ctx)
+    else:
+        b = random_sl2(rng, ctx)
+    letters = draw(st.lists(st.sampled_from((1, -1, 2, -2) * 4 + (3, -5)), max_size=12))
+    return free2_rep(ctx, a, b), Word(tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(length_cases())
+def test_length_of_equals_translation_length(case):
+    rep, w = case
+    if any(abs(x) > 2 for x in w.letters):
+        with pytest.raises(UnknownGeneratorError):
+            length_of(rep, w)
+        with pytest.raises(UnknownGeneratorError):
+            rep.evaluate(w)
+    else:
+        assert length_of(rep, w) == translation_length(rep.evaluate(w))
+
+
+def test_length_of_edge_cases():
+    a = SL2Matrix(((Fraction(1, 9), 0), (0, 9)), CTX)
+    b = SL2Matrix(((Fraction(1, 3), 1), (Fraction(-10, 9), Fraction(-1, 3))), CTX)
+    rep = free2_rep(CTX, a, b)
+    assert rep.evaluate(Word((2,))).trace().value == 0
+    for letters, ell in (((), 0), ((1,), 4), ((2,), 0), ((2, 2), 0), ((1, 2), 6)):
+        assert length_of(rep, Word(letters)) == ell
+        assert translation_length(rep.evaluate(Word(letters))) == ell
+    with pytest.raises(UnknownGeneratorError):
+        length_of(rep, Word((1, 3)))
+    # a letter table whose determinant is not 1 is refused, as evaluate does
+    a0, b0, c0, d0, den = rep._letters[1]
+    object.__setattr__(rep, "_letters", {**rep._letters, 1: (a0, b0, c0, d0 + den, den)})
+    for fn in (length_of, Representation.evaluate):
+        with pytest.raises(DeterminantNotOneError):
+            fn(rep, Word((1,)))
+
+
 def test_spectrum_conjugation_invariance():
     rng = random.Random(6602)
     rep = unbounded_irreducible_rep(CTX)
@@ -233,6 +284,17 @@ def test_spectrum_word_cap():
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+def test_spectrum_letter_cap():
+    rank1 = Representation(Presentation.free(1),
+                           {"a": unbounded_irreducible_rep(CTX).matrix("a")})
+    with pytest.raises(CapExceededError,
+                       match="^spectrum would hold 100010000 letters, cap is 8000000$"):
+        spectrum_rows(rank1, 10**4)
+    assert len(spectrum(rank1, 39, max_words=100).entries) == 79
+    with pytest.raises(CapExceededError, match="^spectrum would hold 1640 letters"):
+        spectrum(rank1, 40, max_words=100)
 
 
 def test_bounded_rep_spectrum_is_zero():

@@ -1,7 +1,10 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
@@ -13,14 +16,17 @@ from sl2trees import (
     TreeVertex,
     ValidationError,
     act,
+    axis_segment,
     ball_vertex_count,
     canonical_vertex,
     distance,
     distance_via_matrices,
     edge_fixed_by,
+    fixed_vertex,
     geodesic,
     neighbors,
     parse_vertex,
+    translation_length,
     tree_ball,
     vertex_type,
 )
@@ -325,3 +331,119 @@ def test_neighbors_match_independent_triple_arithmetic():
         triples = ball_vertices((0, 0, 0), 4, p)
         assert {vertex_key(w.level, w.center, p)
                 for w in ball.vertices} == triples
+
+
+# -- the integer kernel against Fractions ---------------------------------
+
+PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def rationals(draw, p, mixed, bound=10 ** 4):
+    """A rational whose denominator is a power of p, times a number
+    prime to p when mixed."""
+    q = draw(st.integers(1, 40).filter(lambda q: q % p)) if mixed else 1
+    return Fraction(draw(st.integers(-bound, bound)), p ** draw(st.integers(0, 4)) * q)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A prime, a vertex (level -6..6, any rational center) and a product
+    of elementary and diagonal determinant-1 matrices."""
+    p = draw(st.sampled_from(PRIMES))
+    ctx = PrimeContext(p)
+    v = TreeVertex(draw(st.integers(-6, 6)), draw(rationals(p, draw(st.booleans()))), ctx)
+    mixed = draw(st.booleans())
+    g = SL2Matrix.identity(ctx)
+    for kind in draw(st.lists(st.sampled_from("ULD"), min_size=1, max_size=4)):
+        x = draw(rationals(p, mixed))
+        if kind == "D":
+            x = x or Fraction(p)
+            g = g * SL2Matrix(((x, 0), (0, 1 / x)), ctx)
+        else:
+            g = g * SL2Matrix(((1, x), (0, 1)) if kind == "U" else ((1, 0), (x, 1)), ctx)
+    return ctx, v, g
+
+
+def assert_canonical(vertices):
+    for v in vertices:
+        assert TreeVertex(v.level, v.center, v.context) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_act_equals_the_fraction_oracle(case):
+    from _oracles import act_fraction, canonical_fraction
+
+    ctx, v, g = case
+    image = act(g, v)
+    assert (image.level, image.center) == act_fraction(g.rows(), v.level, v.center, ctx.p)
+    assert_canonical([image])
+    rows = ((g.a, g.b + v.center), (g.c * ctx.p ** 2, g.d))
+    if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+        w = canonical_vertex(rows, ctx)
+        assert (w.level, w.center) == canonical_fraction(rows, ctx.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_kernel_returns_canonical_vertices(case):
+    ctx, v, g = case
+    image = act(g, v)
+    assert_canonical(neighbors(v))
+    assert_canonical(geodesic(v, image))
+    assert_canonical(geodesic(image, v))
+    assert_canonical([canonical_vertex(g)])
+    ball = tree_ball(v, 2)
+    assert_canonical(ball.vertices)
+    for e in ball.edges:
+        assert TreeEdge(e.x, e.y) == e
+    if translation_length(g):
+        assert_canonical(axis_segment(g, 3).vertices)
+    else:
+        assert_canonical([fixed_vertex(g)])
+
+
+def test_kernel_corpus_frozen():
+    # sha256 of the (level; center) outputs of a seeded corpus of act,
+    # geodesic, axis_segment and radius-3 tree_ball calls, computed on the
+    # Fraction kernel before the integer one replaced it
+    rng = random.Random(2210)
+    lines = []
+    for p in PRIMES:
+        ctx = PrimeContext(p)
+        for _ in range(60):
+            g = random_sl2(rng, ctx)
+            level, num = rng.randint(-4, 4), rng.randint(-99, 99)
+            q = rng.choice((1, p, p * p, 2 * p + 1 if p != 2 else 9))
+            u = TreeVertex(level, Fraction(num, q), ctx)
+            v = TreeVertex(rng.randint(-4, 4),
+                           Fraction(rng.randint(-99, 99), p ** rng.randint(0, 3)), ctx)
+            lines.append([act(g, u)])
+            lines.append(geodesic(u, act(g, v)))
+            if translation_length(g):
+                lines.append(axis_segment(g, rng.randint(1, 4)).vertices)
+        lines.append(tree_ball(u, 3).vertices)
+    h = hashlib.sha256()
+    for vs in lines:
+        h.update((" ".join(f"({v.level};{v.center})" for v in vs) + "\n").encode())
+    assert len(lines) == 656
+    assert h.hexdigest() == (
+        "2eb8c2f7913101efaae7fc301698c93f4e6e479b95dec2ef3249231bf2ed12f8")
+
+
+def test_long_axes_and_geodesics_are_fast():
+    # all three took seconds on the Fraction kernel (0.3 s, 1.9 s and,
+    # at window 8000, 3.2 s); their work is now linear in the path
+    a = SL2Matrix(((3, 0), (0, Fraction(1, 3))), CTX)
+    start = time.perf_counter()
+    assert len(axis_segment(a, 2000).vertices) == 4001
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    path = geodesic(TreeVertex(0, Fraction(1, 3), CTX), TreeVertex(20000, 5, CTX))
+    assert len(path) == 20003 and path[-1].center == 5
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    origin = TreeVertex(0, 0, CTX)
+    assert len(geodesic(origin, TreeVertex(DEFAULT_NODE_CAP - 1, 0, CTX))) == DEFAULT_NODE_CAP
+    assert time.perf_counter() - start < 1

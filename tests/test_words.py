@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 from fractions import Fraction
@@ -27,7 +28,8 @@ from sl2trees import (
     parse_word,
     word_to_text,
 )
-from sl2trees.words import DEFAULT_WORD_CAP, letter_alphabet, word_sort_key
+from sl2trees.words import (
+    DEFAULT_WORD_CAP, check_ball, letter_alphabet, sphere_sizes, word_sort_key)
 
 from _oracles import fraction_fold
 from conftest import random_integral_sl2
@@ -239,6 +241,35 @@ def test_ball_cap():
     assert ball(FREE2, 0) == [Word(())]
     with pytest.raises(ValidationError):
         ball(FREE2, -1)
+
+
+def test_ball_letter_cap():
+    # rank 1 hides L(L + 1) letters in 2L + 1 words; letters are capped at
+    # 16 * max_words, which at rank >= 2 never refuses what the word cap takes
+    free1 = Presentation.free(1)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError,
+                       match="^ball would hold 100010000 letters, cap is 8000000$"):
+        ball(free1, 10**4)
+    assert time.perf_counter() - start < 0.002
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            ball(free1, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert len(ball(free1, 39, max_words=100)) == 79  # 1560 letters
+    with pytest.raises(CapExceededError,
+                       match="^ball would hold 1640 letters, cap is 1600$"):
+        ball(free1, 40, max_words=100)
+    for rank in (2, 3, 4):
+        for cap in (10, 1000, 10**5, DEFAULT_WORD_CAP, 10**8):
+            max_len = 0
+            while sum(sphere_sizes(2 * rank, max_len + 1)) <= cap:
+                max_len += 1
+            check_ball("ball", rank, max_len, cap)
 
 
 def test_ball_ignores_relators():
