@@ -94,8 +94,6 @@ from .classify import (
 )
 from .spectrum import (
     LengthSpectrum,
-    SpectrumComparison,
-    compare_spectra,
     length_of,
     spectrum,
     spectrum_rows,

@@ -383,29 +383,34 @@ def ball_size(rank: int, max_len: int) -> int:
     return sum(sphere_sizes(2 * rank, max_len))
 
 
-def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[tuple, object]]:
+def ball_walk(rank: int, max_len: int, root, step,
+              leaf=None) -> Iterator[Tuple[tuple, object]]:
     """(letters, state) for each reduced word of length 0..max_len, in
     shortlex order, checking max_len at the call; no Word is built.
 
     Growing each level's sorted words by the alphabet, minus the inverse
     of their last letter, keeps the next level sorted.  The empty word's
-    state is root and a child's is step(parent_state, letter).
+    state is root and a child's is step(parent_state, letter), or
+    leaf(parent_state, letter) at length max_len if a leaf step is given.
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    return _walk_levels(letter_alphabet(rank), max_len, root, step)
+    return _walk_levels(letter_alphabet(rank), max_len, root, step, leaf or step)
 
 
-def _walk_levels(alphabet, max_len: int, root, step):
+def _walk_levels(alphabet, max_len: int, root, step, leaf):
     level = [((), root)]
     yield level[0]
     for depth in range(max_len, 0, -1):
+        grow = step if depth > 1 else leaf
         grown = []
-        for stem, state in level:
+        level.reverse()
+        while level:  # each parent is freed as its children are made
+            stem, state = level.pop()
             back = -stem[-1] if stem else 0
             for x in alphabet:
                 if x != back:
-                    row = (stem + (x,), step(state, x))
+                    row = (stem + (x,), grow(state, x))
                     if depth > 1:
                         grown.append(row)
                     yield row

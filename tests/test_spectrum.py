@@ -1,5 +1,6 @@
 import io
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,18 +13,18 @@ from sl2trees import (
     PrimeContext,
     Presentation,
     Representation,
-    ShapeMismatchError,
     SL2Matrix,
     UnknownGeneratorError,
     ValidationError,
     Word,
     ball,
-    compare_spectra,
+    ball_size,
     length_of,
     spectrum,
     spectrum_rows,
     to_tsv,
     translation_length,
+    word_to_text,
     write_tsv,
 )
 from sl2trees.spectrum import LengthSpectrum
@@ -103,12 +104,88 @@ def test_spectrum_rows_stream_the_spectrum():
     for rep, max_len in ((unbounded_irreducible_rep(CTX), 0), (genus2, 3)):
         spec = spectrum(rep, max_len)
         rows = spectrum_rows(rep, max_len)
-        assert next(rows) == ((), 0)
-        assert [((), 0)] + list(rows) == [(w.letters, l) for w, l in spec.entries]
+        assert next(rows) == ((), "1", 0)
+        assert [((), "1", 0)] + list(rows) == [
+            (w.letters, word_to_text(w, rep.presentation), l)
+            for w, l in spec.entries]
         out = io.StringIO()
         write_tsv(out, rep.presentation, CTX.p, max_len, rep.fundamental(),
                   spectrum_rows(rep, max_len))
         assert out.getvalue() == to_tsv(spec)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A free rank 1-3 or genus-2 representation and a bound L <= 4.  Each
+    generator is a product of elementary and diagonal factors whose
+    denominators are prime to p, p-powers up to p^60, or both, or has
+    trace 0."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q != p]))
+
+    def entry():
+        den = draw(st.sampled_from((1, q, p, p ** 3, q * p ** 2, p ** 60)))
+        return Fraction(draw(st.integers(-20, 20)), den)
+
+    def generator():
+        if draw(st.booleans()):
+            x, y = entry(), entry() or Fraction(1, p)
+            return SL2Matrix(((x, y), (-(1 + x * x) / y, -x)), ctx)
+        m = SL2Matrix.identity(ctx)
+        for kind in draw(st.lists(st.sampled_from("ulp"), min_size=1, max_size=4)):
+            if kind == "p":
+                k = draw(st.integers(-60, 60))
+                m = m * SL2Matrix(((Fraction(p) ** k, 0), (0, Fraction(p) ** -k)), ctx)
+            else:
+                x = entry()
+                m = m * SL2Matrix(((1, x), (0, 1)) if kind == "u" else ((1, 0), (x, 1)), ctx)
+        return m
+
+    group = draw(st.sampled_from(("free1", "free2", "free3", "genus2")))
+    if group == "genus2":
+        a, b = generator(), generator()
+        rep = Representation(Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a})
+        return rep, draw(st.integers(0, 3))
+    presentation = Presentation.free(int(group[-1]))
+    gens = {name: generator() for name in presentation.generators}
+    return Representation(presentation, gens), draw(st.integers(0, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(spectrum_cases())
+def test_spectrum_rows_equal_word_text_and_length_of(case):
+    rep, max_len = case
+    rows = list(spectrum_rows(rep, max_len))
+    assert [u for u, _, _ in rows] == [w.letters for w in ball(rep.presentation, max_len)]
+    for u, text, ell in rows:
+        w = Word(u)
+        assert text == word_to_text(w, rep.presentation)
+        assert ell == length_of(rep, w)
+
+
+def big_denominator_rep():
+    # a = [[0, -1/N], [N, 0]] and b = [[0, -N], [1/N, 0]], N = 3^400: a word of
+    # length L has denominator valuation up to 400 L, and the integer trace
+    # often holds as many factors of 3
+    n = 3 ** 400
+    a = SL2Matrix(((0, Fraction(-1, n)), (n, 0)), CTX)
+    b = SL2Matrix(((0, -n), (Fraction(1, n), 0)), CTX)
+    return free2_rep(CTX, a, b)
+
+
+def test_spectrum_rows_big_denominators_are_fast():
+    # one valuation division per row would take seconds here
+    rep = big_denominator_rep()
+    t0 = time.monotonic()
+    rows = list(spectrum_rows(rep, 7))
+    elapsed = time.monotonic() - t0
+    assert len(rows) == ball_size(2, 7)
+    assert elapsed < 2
+    for u, text, ell in rows:
+        assert ell == length_of(rep, Word(u))
+        assert text == word_to_text(Word(u), rep.presentation)
+    assert {ell for _, _, ell in rows} >= {0, 1600}
 
 
 def test_spectrum_rows_refuse_at_the_call():
@@ -193,8 +270,8 @@ def test_spectrum_conjugation_invariance():
     for _ in range(3):
         h = random_sl2(rng, CTX, steps=3)
         sc = spectrum(rep.conjugated_by(h), 3)
-        c = compare_spectra(s, sc)
-        assert c.entries_equal and c.fingerprints_equal and c.identical
+        assert sc.entries == s.entries
+        assert sc.fingerprint.entries == s.fingerprint.entries
 
 
 def test_spectrum_abelian_length_law():
@@ -232,32 +309,6 @@ def test_spectrum_surface_presentation_header():
     assert lines[0] == "# presentation\tsurface(2)"
     assert len([l for l in lines if l.startswith("# fingerprint")]) == 15
     assert "a1\t2" in lines
-
-
-def test_compare_spectra_differing():
-    s1 = spectrum(unbounded_irreducible_rep(CTX), 1)
-    s2 = spectrum(diag_rep(CTX), 1)
-    d = compare_spectra(s1, s2)
-    assert not d.entries_equal and not d.fingerprints_equal and not d.identical
-    assert d.differing == ((Word((2,)), 0, 2), (Word((-2,)), 0, 2))
-
-
-def test_compare_spectra_fingerprint_only_difference():
-    a = unbounded_irreducible_rep(CTX).matrix("a")
-    s1 = spectrum(unbounded_irreducible_rep(CTX), 1)
-    s2 = spectrum(free2_rep(CTX, a, SL2Matrix(((2, 1), (1, 1)), CTX)), 1)
-    d = compare_spectra(s1, s2)
-    assert d.entries_equal and not d.fingerprints_equal and not d.identical
-    assert d.differing == ()
-
-
-def test_compare_spectra_shape_mismatch():
-    rep = unbounded_irreducible_rep(CTX)
-    with pytest.raises(ShapeMismatchError):
-        compare_spectra(spectrum(rep, 1), spectrum(rep, 2))
-    rep5 = unbounded_irreducible_rep(PrimeContext(5))
-    with pytest.raises(ShapeMismatchError):
-        compare_spectra(spectrum(rep, 1), spectrum(rep5, 1))
 
 
 def test_spectrum_word_cap():
