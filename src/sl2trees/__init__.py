@@ -14,7 +14,6 @@ from .errors import (
     PrimeNotPrimeError,
     ReductionCapExceededError,
     SaturationCapExceededError,
-    ShapeMismatchError,
     SingularMatrixError,
     Sl2TreesError,
     UnknownGeneratorError,

@@ -81,9 +81,5 @@ class PreconditionNotMetError(Sl2TreesError):
     """An operation was invoked outside its documented domain."""
 
 
-class ShapeMismatchError(Sl2TreesError):
-    """Two objects with incompatible shapes were compared."""
-
-
 class ValidationError(Sl2TreesError):
     """A representation file or in-memory representation is invalid."""

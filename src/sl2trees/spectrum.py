@@ -1,12 +1,12 @@
 """Marked length spectra over shortlex balls, with TSV export.
 
 The spectrum pairs every freely reduced word up to a length bound with
-its translation length, walking the ball level by level in shortlex
-order (words.ball_walk): one exact 2x2 integer product per inner word on
-its prefix's image, only the trace for a word of the last level,
-denominators kept only as valuations, and no final sort.
-spectrum_rows yields the rows with their texts as they come, for
-write_tsv to stream.
+its translation length.  spectrum_rows walks the ball level by level in
+shortlex order (words.letter_children) in one loop: one exact 2x2
+integer product per inner word on its prefix's image, only the trace for
+a word of the last level, denominators kept only as valuations, and no
+final sort.  It yields (text, length) rows as they come, for write_tsv
+to stream.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .field import _val_fraction
 from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_ball,
+    DEFAULT_WORD_CAP, Presentation, Word, ball, check_ball, letter_children,
     scaled_image, word_texts)
 
-Row = Tuple[Tuple[int, ...], str, int]  # a word's letters, text and length
+Row = Tuple[str, int]  # a word's text and length
 _CHUNK = 4096  # rows formatted per write
 
 
@@ -62,42 +62,47 @@ class _Memo(dict):
 
 def spectrum_rows(rep: Representation, max_len: int,
                   max_words: int = DEFAULT_WORD_CAP) -> Iterator[Row]:
-    """(letters, text, length) for every reduced word with |w| <= max_len,
-    in shortlex order, each as the walk reaches it; no Word is built.  The
-    size is checked at the call, before the first row.
+    """(text, length) for every reduced word with |w| <= max_len, in
+    shortlex order, each as the level loop reaches it; no Word or letter
+    tuple is built.  The size is checked at the call, before the first row.
 
     A word's image is its prefix's times one letter, as integer matrices
     whose denominators are tracked only by their valuation v, and its
-    text is its prefix's plus one name.  Words of length max_len are
-    leaves: they need only the trace.  The length -2 min(0, v(tr) - v) is
-    2(v - k) with p^k = gcd(tr, p^v), both powers memoized per call.
+    text is its prefix's plus one name.  Words of length max_len need
+    only the trace.  The length -2 min(0, v(tr) - v) is 2(v - k) with
+    p^k = gcd(tr, p^v), both powers memoized per call.
     """
     check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p, letters = rep.context.p, rep._letters
-    names = word_texts(((x,) for x in letters), rep.presentation)
-    gens = {x: (a, b, c, d, _val_fraction(den, p), name)
-            for (x, (a, b, c, d, den)), name in zip(letters.items(), names)}
+    names = dict(zip(letters, word_texts(((x,) for x in letters), rep.presentation)))
+    images = {x: (a, b, c, d, _val_fraction(den, p))
+              for x, (a, b, c, d, den) in letters.items()}
+    # per last letter (0 for the empty word): each child letter with its
+    # image, denominator valuation and the text it appends to its parent's
+    children = {last: tuple((x, *images[x], f" {names[x]}" if last else names[x])
+                            for x in xs)
+                for last, xs in letter_children(rep.presentation.rank).items()}
     powers = _Memo(lambda v: p ** v)
     exponents = _Memo(lambda g: _val_fraction(g, p))
 
-    def step(m, x):
-        a, b, c, d, v, t = m
-        e, f, g, h, vl, name = gens[x]
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
-                v + vl, f"{t} {name}" if t else name)
-
-    def leaf(m, x):  # the trace in a's place: rows read every state alike
-        a, b, c, d, v, t = m
-        e, f, g, h, vl, name = gens[x]
-        return (a * e + b * g + c * f + d * h, 0, 0, 0, v + vl,
-                f"{t} {name}" if t else name)
-
-    walk = ball_walk(rep.presentation.rank, max_len, (1, 0, 0, 1, 0, ""),
-                     step, leaf)
-
     def rows():
-        for u, (a, _, _, d, v, t) in walk:
-            yield u, t or "1", 2 * (v - exponents[gcd(a + d, powers[v])])
+        yield "1", 0
+        level = [(1, 0, 0, 1, 0, "", 0)]
+        for _ in range(max_len - 1):
+            grown = []
+            level.reverse()
+            while level:  # each parent is freed as its children are made
+                a, b, c, d, v, t, last = level.pop()
+                for x, e, f, g, h, vl, name in children[last]:
+                    ae, dh, w, text = a * e + b * g, c * f + d * h, v + vl, t + name
+                    grown.append((ae, a * f + b * h, c * e + d * g, dh, w, text, x))
+                    yield text, 2 * (w - exponents[gcd(ae + dh, powers[w])])
+            level = grown
+        for a, b, c, d, v, t, last in level if max_len else ():  # leaves
+            for _, e, f, g, h, vl, name in children[last]:
+                w = v + vl
+                yield t + name, 2 * (w - exponents[
+                    gcd(a * e + b * g + c * f + d * h, powers[w])])
 
     return rows()
 
@@ -105,9 +110,10 @@ def spectrum_rows(rep: Representation, max_len: int,
 def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
-    the rows of spectrum_rows, kept."""
-    entries = tuple((_trusted_word(u), ell)
-                    for u, _, ell in spectrum_rows(rep, max_len, max_words))
+    the rows of spectrum_rows, each paired with its word from ball."""
+    rows = spectrum_rows(rep, max_len, max_words)
+    words = ball(rep.presentation, max_len, max_words)
+    entries = tuple((w, ell) for w, (_, ell) in zip(words, rows, strict=True))
     return LengthSpectrum(rep.presentation, rep.context.p, max_len, entries,
                           rep.fundamental())
 
@@ -115,18 +121,15 @@ def spectrum(rep: Representation, max_len: int,
 def write_tsv(out: TextIO, presentation: Presentation, prime: int, max_len: int,
               fingerprint: FundamentalTraceVector, rows: Iterable[Row]) -> None:
     """Deterministic TSV to a text handle: header block, fingerprint
-    block, then one line per (letters, text, length) row, written _CHUNK
+    block, then one line per (text, length) row, written _CHUNK
     rows at a time, so a row iterator is never held whole."""
-    lines = [
-        f"# presentation\t{presentation.descriptor()}",
-        f"# prime\t{prime}",
-        f"# max_len\t{max_len}",
-    ]
-    for key, value in fingerprint.ordered():
-        lines.append(f"# fingerprint\t{variable_name(key)}\t{value}")
+    lines = [f"# presentation\t{presentation.descriptor()}", f"# prime\t{prime}",
+             f"# max_len\t{max_len}"]
+    lines += [f"# fingerprint\t{variable_name(key)}\t{value}"
+              for key, value in fingerprint.ordered()]
     out.write("\n".join(lines) + "\nword\tlength\n")
     rows = iter(rows)
-    while chunk := "".join([f"{t}\t{ell}\n" for _, t, ell in islice(rows, _CHUNK)]):
+    while chunk := "".join([f"{t}\t{ell}\n" for t, ell in islice(rows, _CHUNK)]):
         out.write(chunk)
 
 
@@ -135,5 +138,5 @@ def to_tsv(spec: LengthSpectrum) -> str:
     texts = word_texts((w.letters for w, _ in spec.entries), spec.presentation)
     out = io.StringIO()
     write_tsv(out, spec.presentation, spec.prime, spec.max_len, spec.fingerprint,
-              ((w.letters, t, ell) for (w, ell), t in zip(spec.entries, texts)))
+              zip(texts, (ell for _, ell in spec.entries)))
     return out.getvalue()

@@ -370,12 +370,15 @@ def sphere_sizes(valency: int, radius: int) -> Iterator[int]:
 
 
 def check_ball(what: str, rank: int, max_len: int, max_words: int):
-    """check_size for a ball of reduced words: words against max_words,
-    letters (at rank 1, L(L + 1) in 2L + 1 words) against 16 * max_words."""
+    """The guard before a ball of reduced words: check_size for words
+    against max_words and letters (at rank 1, L(L + 1) in 2L + 1 words)
+    against 16 * max_words, then max_len >= 0."""
     check_size(what, "words", max_words, sphere_sizes(2 * rank, max_len))
     letters = ((max(max_len, 0) * (max_len + 1),) if rank == 1 else
                (k * s for k, s in enumerate(sphere_sizes(2 * rank, max_len))))
     check_size(what, "letters", 16 * max_words, letters)
+    if max_len < 0:
+        raise ValidationError("max_len must be >= 0")
 
 
 def ball_size(rank: int, max_len: int) -> int:
@@ -383,37 +386,36 @@ def ball_size(rank: int, max_len: int) -> int:
     return sum(sphere_sizes(2 * rank, max_len))
 
 
-def ball_walk(rank: int, max_len: int, root, step,
-              leaf=None) -> Iterator[Tuple[tuple, object]]:
+def letter_children(rank: int) -> Dict[int, Tuple[int, ...]]:
+    """The letters that may follow each last letter of a reduced word (0
+    for the empty word), in shortlex order: the alphabet minus the last
+    letter's inverse."""
+    alphabet = letter_alphabet(rank)
+    return {last: tuple(x for x in alphabet if x != -last)
+            for last in (0,) + alphabet}
+
+
+def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[tuple, object]]:
     """(letters, state) for each reduced word of length 0..max_len, in
-    shortlex order, checking max_len at the call; no Word is built.
+    shortlex order; no Word is built.
 
-    Growing each level's sorted words by the alphabet, minus the inverse
-    of their last letter, keeps the next level sorted.  The empty word's
-    state is root and a child's is step(parent_state, letter), or
-    leaf(parent_state, letter) at length max_len if a leaf step is given.
+    Growing each level's sorted words by letter_children keeps the next
+    level sorted.  The empty word's state is root and a child's is
+    step(parent_state, letter).
     """
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
-    return _walk_levels(letter_alphabet(rank), max_len, root, step, leaf or step)
-
-
-def _walk_levels(alphabet, max_len: int, root, step, leaf):
+    children = letter_children(rank)
     level = [((), root)]
     yield level[0]
     for depth in range(max_len, 0, -1):
-        grow = step if depth > 1 else leaf
         grown = []
         level.reverse()
         while level:  # each parent is freed as its children are made
             stem, state = level.pop()
-            back = -stem[-1] if stem else 0
-            for x in alphabet:
-                if x != back:
-                    row = (stem + (x,), grow(state, x))
-                    if depth > 1:
-                        grown.append(row)
-                    yield row
+            for x in children[stem[-1] if stem else 0]:
+                row = (stem + (x,), step(state, x))
+                if depth > 1:
+                    grown.append(row)
+                yield row
         level = grown
 
 

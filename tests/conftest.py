@@ -92,3 +92,14 @@ def unbounded_irreducible_rep(ctx):
     a = SL2Matrix(((p, 0), (0, 1 / p)), ctx)
     b = SL2Matrix(((1, 1), (1, 2)), ctx)
     return free2_rep(ctx, a, b)
+
+
+def big_denominator_rep():
+    """a = [[0, -1/N], [N, 0]] and b = [[0, -N], [1/N, 0]] at p = 3, with
+    N = 3^400: a word of length L has denominator valuation up to 400 L,
+    and the integer trace often holds as many factors of 3."""
+    ctx = PrimeContext(3)
+    n = 3 ** 400
+    a = SL2Matrix(((0, Fraction(-1, n)), (n, 0)), ctx)
+    b = SL2Matrix(((0, -n), (Fraction(1, n), 0)), ctx)
+    return free2_rep(ctx, a, b)

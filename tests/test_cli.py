@@ -25,6 +25,7 @@ from sl2trees import (
 from sl2trees.cli import main
 
 from conftest import (
+    big_denominator_rep,
     diag_rep,
     free2_rep,
     random_noncommuting_pair,
@@ -197,6 +198,51 @@ def test_spectrum_genus2_tsv_frozen(capsys, tmp_path):
     data = target.read_bytes()
     assert data.count(b"\n") == 3 + 15 + 1 + ball_size(4, 4)
     assert hashlib.sha256(data).hexdigest() == GENUS2_L4_SHA256
+
+
+# sha256 of the TSV for three more inputs, frozen from the callback-driven
+# level walk that came before the inlined spectrum loop: free rank 1 (one
+# child per inner word) at p = 2, free rank 3 (six letters) at p = 5, and
+# the 3^400 denominators of big_denominator_rep (lengths up to 4800, each
+# from one gcd against a large power of 3).
+FREE1_L12_SHA256 = "88fc02ed0a3240120c5a97c0d791a766500c3dfdbd2eff7b8a5534431662c37a"
+FREE3_L5_SHA256 = "f5ff28f065502d3d02d55f0d6df75d8dbd2ffc1a923ca8dc3b997f056fe5ce86"
+BIG_DENOMINATOR_L7_SHA256 = "06a90b51f77368f350070f3e12d1e7498198a28c3dd9bddf8d533e0661e34cbc"
+
+
+def free1_rep():
+    ctx = PrimeContext(2)
+    a = SL2Matrix(((Fraction(1, 4), 3), (Fraction(-1, 4), 1)), ctx)
+    return Representation(Presentation.free(1), {"a": a})
+
+
+def free3_rep():
+    ctx = PrimeContext(5)
+    a = SL2Matrix(((2, Fraction(1, 5)), (5, 1)), ctx)
+    b = SL2Matrix(((Fraction(1, 5), 1), (-1, 0)), ctx)
+    c = SL2Matrix(((3, Fraction(2, 25)), (25, 1)), ctx)
+    return Representation(Presentation.free(3), {"a": a, "b": b, "c": c})
+
+
+@pytest.mark.parametrize("make_rep, max_len, digest", [
+    (free1_rep, 12, FREE1_L12_SHA256),
+    (free3_rep, 5, FREE3_L5_SHA256),
+    (big_denominator_rep, 7, BIG_DENOMINATOR_L7_SHA256)],
+    ids=["free1", "free3", "big-denominator"])
+def test_spectrum_tsv_frozen_on_other_shapes(capsys, tmp_path, make_rep,
+                                             max_len, digest):
+    rep = make_rep()
+    path = tmp_path / "rep.json"
+    save_representation(rep, str(path))
+    target = tmp_path / "out.tsv"
+    code, out, err = run(capsys, ["spectrum", str(path), "--max-len",
+                                  str(max_len), "--tsv", str(target)])
+    assert (code, out, err) == (0, "", "")
+    data = target.read_bytes()
+    fingerprint_lines = 2 ** rep.presentation.rank - 1
+    assert data.count(b"\n") == (3 + fingerprint_lines + 1
+                                  + ball_size(rep.presentation.rank, max_len))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_tree_ball_listing(capsys):

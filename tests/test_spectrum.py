@@ -31,6 +31,7 @@ from sl2trees.spectrum import LengthSpectrum
 from sl2trees.words import word_sort_key
 
 from conftest import (
+    big_denominator_rep,
     diag_rep,
     free2_rep,
     random_noncommuting_pair,
@@ -104,10 +105,9 @@ def test_spectrum_rows_stream_the_spectrum():
     for rep, max_len in ((unbounded_irreducible_rep(CTX), 0), (genus2, 3)):
         spec = spectrum(rep, max_len)
         rows = spectrum_rows(rep, max_len)
-        assert next(rows) == ((), "1", 0)
-        assert [((), "1", 0)] + list(rows) == [
-            (w.letters, word_to_text(w, rep.presentation), l)
-            for w, l in spec.entries]
+        assert next(rows) == ("1", 0)
+        assert [("1", 0)] + list(rows) == [
+            (word_to_text(w, rep.presentation), l) for w, l in spec.entries]
         out = io.StringIO()
         write_tsv(out, rep.presentation, CTX.p, max_len, rep.fundamental(),
                   spectrum_rows(rep, max_len))
@@ -157,21 +157,11 @@ def spectrum_cases(draw):
 def test_spectrum_rows_equal_word_text_and_length_of(case):
     rep, max_len = case
     rows = list(spectrum_rows(rep, max_len))
-    assert [u for u, _, _ in rows] == [w.letters for w in ball(rep.presentation, max_len)]
-    for u, text, ell in rows:
-        w = Word(u)
+    words = ball(rep.presentation, max_len)
+    assert len(rows) == len(words)
+    for w, (text, ell) in zip(words, rows):
         assert text == word_to_text(w, rep.presentation)
         assert ell == length_of(rep, w)
-
-
-def big_denominator_rep():
-    # a = [[0, -1/N], [N, 0]] and b = [[0, -N], [1/N, 0]], N = 3^400: a word of
-    # length L has denominator valuation up to 400 L, and the integer trace
-    # often holds as many factors of 3
-    n = 3 ** 400
-    a = SL2Matrix(((0, Fraction(-1, n)), (n, 0)), CTX)
-    b = SL2Matrix(((0, -n), (Fraction(1, n), 0)), CTX)
-    return free2_rep(CTX, a, b)
 
 
 def test_spectrum_rows_big_denominators_are_fast():
@@ -182,10 +172,10 @@ def test_spectrum_rows_big_denominators_are_fast():
     elapsed = time.monotonic() - t0
     assert len(rows) == ball_size(2, 7)
     assert elapsed < 2
-    for u, text, ell in rows:
-        assert ell == length_of(rep, Word(u))
-        assert text == word_to_text(Word(u), rep.presentation)
-    assert {ell for _, _, ell in rows} >= {0, 1600}
+    for w, (text, ell) in zip(ball(rep.presentation, 7), rows):
+        assert ell == length_of(rep, w)
+        assert text == word_to_text(w, rep.presentation)
+    assert {ell for _, ell in rows} >= {0, 1600}
 
 
 def test_spectrum_rows_refuse_at_the_call():
