@@ -1,17 +1,21 @@
 """Classification of SL(2) representations over the valued rationals.
 
 The pipeline is certificate-driven: boundedness comes with either a
-fixed lattice class (checked by conjugating every generator into the
-local integers) or a short word whose trace has negative valuation;
+fixed lattice class or a short word whose trace has negative valuation;
 reducibility comes with an invariant projective line; irreducibility
 strength is measured by the dimension of the generated matrix algebra.
+Every step runs on the scaled letter table (A, B, C, D, den), with
+valuations in place of Fractions.  The fixed lattice class is checked as
+a vertex each generator fixes under tree.act, which is integrality of
+the generators conjugated by its basis: m L = p^j L forces j = 0 when
+det m = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -23,9 +27,9 @@ from .errors import (
 from .field import PrimeContext, ValuedRational, _val_fraction
 from .isometry import rational_eigenlines
 from .matrices import (
-    IDENTITY, SL2Matrix, inv2, letter_table, mul2, scaled_mul, unscaled)
+    IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul, unscaled)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
-from .tree import TreeVertex, _center, canonical_vertex
+from .tree import TreeVertex, _center, act
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
     check_size, scaled_image, sphere_sizes, word_to_text)
@@ -56,9 +60,9 @@ class Representation:
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "assignment", pairs)
         object.__setattr__(self, "_letters", letter_table(self.matrices))
-        identity = SL2Matrix.identity(self.context)
         for relator in presentation.relators:
-            if self.evaluate(relator) != identity:
+            a, b, c, d, den = checked(scaled_image(relator, self._letters))
+            if (a, b, c, d) != (den, 0, 0, den):
                 raise ValidationError(
                     "relator does not evaluate to the identity: "
                     f"{word_to_text(relator, presentation)}"
@@ -82,6 +86,10 @@ class Representation:
     def trace(self, w: Word) -> ValuedRational:
         return self.evaluate(w).trace()
 
+    def _generators(self) -> List[Scaled]:
+        """The scaled images of the generators, in presentation order."""
+        return [self._letters[i] for i in range(1, self.presentation.rank + 1)]
+
     def fundamental(self) -> FundamentalTraceVector:
         return fundamental_traces(self.matrices)
 
@@ -96,64 +104,47 @@ def is_bounded(rep: Representation) -> Tuple[bool, Optional[Word]]:
     """Bounded iff every fundamental trace is locally integral.
 
     An unbounded representation returns the first increasing product
-    word whose trace has negative valuation as a witness.
+    word whose trace (A + D) / den has v(A + D) < v(den) as a witness.
     """
-    vector = rep.fundamental()
+    table, v = rep._letters, rep.context.valuation
+    images = {(): IDENTITY}
     for s in subset_keys(rep.presentation.rank):
-        if vector[s].valuation() < 0:
+        images[s] = a, _, _, d, den = checked(scaled_mul(images[s[:-1]], table[s[-1]]))
+        if v(a + d) < v(den):
             return False, Word(s)
     return True, None
 
 
 # -- lattice saturation ---------------------------------------------------
 
-Vec = Tuple[Fraction, Fraction]
 LatticeForm = Tuple[int, int, Fraction]  # basis [[p^alpha, y], [0, p^beta]]
 
 
-def _lattice_span(vectors: Sequence[Vec], p: int) -> LatticeForm:
-    """Normal form of the local-integer span of the given vectors."""
-    pivot = min(
-        (v for v in vectors if v[1] != 0),
-        key=lambda v: _val_fraction(v[1], p),
-        default=None,
-    )
-    if pivot is None:
-        raise ValidationError("vectors span a rank-1 module")
-    beta = int(_val_fraction(pivot[1], p))
-    tops = [
-        v[0] - (v[1] / pivot[1]) * pivot[0] for v in vectors if v is not pivot
-    ]
-    finite = [_val_fraction(t, p) for t in tops if t != 0]
-    if not finite:
-        raise ValidationError("vectors span a rank-1 module")
-    alpha = int(min(finite))
-    y = pivot[0] * Fraction(p) ** beta / pivot[1]
-    return alpha, beta, _center(y.numerator, y.denominator, alpha, p)
-
-
-def _lattice_vectors(form: LatticeForm, p: int) -> List[Vec]:
-    alpha, beta, y = form
-    return [
-        (Fraction(p) ** alpha, Fraction(0)),
-        (y, Fraction(p) ** beta),
-    ]
-
-
-def _apply(m: SL2Matrix, v: Vec) -> Vec:
-    return (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
+def _span(vectors: List[Tuple[int, int, int]], p: int) -> LatticeForm:
+    """Normal form of the local-integer span of rank-2 integer vectors
+    (x, y, k), meaning p^k (x, y).  The pivot p^k0 (x0, y0) has the least
+    v(y) + k, which is beta, and y = x0 p^beta / y0; the others' tops
+    cleared against it are p^k (x y0 - y x0) / y0, of least valuation alpha."""
+    val = lambda n: _val_fraction(n, p)  # noqa: E731
+    x0, y0, k0 = min((u for u in vectors if u[1]), key=lambda u: val(u[1]) + u[2])
+    beta = val(y0) + k0
+    alpha = min(k + val(x * y0 - y * x0) for x, y, k in vectors
+                if x * y0 != y * x0) - val(y0)
+    num, den = (x0 * p ** beta, y0) if beta >= 0 else (x0, y0 * p ** -beta)
+    return alpha, beta, _center(num, den, alpha, p)
 
 
 def fixed_lattice_certificate(
     rep: Representation, max_rounds: int = 64
 ) -> TreeVertex:
-    """A vertex fixed by the whole image, certified by conjugation.
+    """A vertex fixed by the whole image, certified under the action.
 
     Saturates the standard lattice under the generators until stable;
     each strict growth step lowers the covolume valuation, so a bounded
     representation stabilizes quickly.  The resulting class is verified
-    by checking that conjugating every generator by the class basis
-    lands entrywise in the local integers.
+    by act(m, vertex) == vertex for every generator m.  That is the same
+    as m conjugated by the class basis being locally integral: m fixes
+    the class of L when m L = p^j L, and det m = 1 forces j = 0.
     """
     bounded, _ = is_bounded(rep)
     if not bounded:
@@ -162,16 +153,25 @@ def fixed_lattice_certificate(
 
 
 def _saturated_lattice(rep: Representation, max_rounds: int) -> TreeVertex:
-    """fixed_lattice_certificate's work, for a rep known to be bounded."""
+    """fixed_lattice_certificate's work, for a rep known to be bounded.
+
+    The form's columns are p^alpha (1, 0) and p^j (y p^-j, p^(beta - j)),
+    integer pairs for y = r / p^e and j = min(beta, -e).  A generator
+    (A, B, C, D, den) takes p^k (x, y) to p^(k - v(den)) (A x + B y,
+    C x + D y) up to the prime-to-p part of den, a unit, which does not
+    change a span over the local integers."""
     p = rep.context.p
+    gens = [(a, b, c, d, _val_fraction(den, p))
+            for a, b, c, d, den in rep._generators()]
     form: LatticeForm = (0, 0, Fraction(0))
-    matrices = rep.matrices
     for _ in range(max_rounds):
-        current = _lattice_vectors(form, p)
-        spanning = list(current)
-        for m in matrices:
-            spanning.extend(_apply(m, v) for v in current)
-        grown = _lattice_span(spanning, p)
+        alpha, beta, y = form
+        j = min(beta, -_val_fraction(y.denominator, p))
+        current = [(1, 0, alpha), (y.numerator * p ** -j // y.denominator,
+                                   p ** (beta - j), j)]
+        spanning = current + [(a * x + b * y, c * x + d * y, k - vd)
+                              for a, b, c, d, vd in gens for x, y, k in current]
+        grown = _span(spanning, p)
         if grown == form:
             break
         form = grown
@@ -179,25 +179,14 @@ def _saturated_lattice(rep: Representation, max_rounds: int) -> TreeVertex:
         raise SaturationCapExceededError(
             f"lattice saturation still moving after {max_rounds} rounds"
         )
-    alpha, beta, y = form
-    vertex = canonical_vertex(
-        ((Fraction(p) ** alpha, y), (Fraction(0), Fraction(p) ** beta)),
-        rep.context,
-    )
-    inv = inv2(vertex.basis())
-    for m in matrices:
-        conj = mul2(mul2(inv, m.rows()), vertex.basis())
-        if any(_val_fraction(x, p) < 0 for row in conj for x in row):
-            raise ValidationError("fixed-lattice certificate failed verification")
+    alpha, beta, y = form  # the class of [[p^alpha, y], [0, p^beta]]
+    vertex = TreeVertex(alpha - beta, y / Fraction(p) ** beta, rep.context)
+    if any(act(m, vertex) != vertex for m in rep.matrices):
+        raise ValidationError("fixed-lattice certificate failed verification")
     return vertex
 
 
 # -- reducibility ---------------------------------------------------------
-
-
-def _line_invariant_under(line: Line, m: SL2Matrix) -> bool:
-    ix, iy = _apply(m, line)
-    return ix * line[1] == iy * line[0]
 
 
 def is_reducible_over_rationals(
@@ -206,16 +195,16 @@ def is_reducible_over_rationals(
     """Search for a rational projective line fixed by the whole image.
 
     Any invariant line is an eigenline of each generator, so only the
-    rational eigenlines of the first non-central generator need testing.
+    rational eigenlines of the first non-central generator need testing,
+    each as (A x + B y) y == (C x + D y) x for every generator.
     """
-    non_central = [m for m in rep.matrices if not m.is_central()]
-    if not non_central:
+    head = next((m for m in rep.matrices if not m.is_central()), None)
+    if head is None:
         return True, (1, 0)
-    head = non_central[0]
-    candidates = rational_eigenlines(head).lines
-    for line in candidates:
-        if all(_line_invariant_under(line, m) for m in rep.matrices):
-            return True, line
+    gens = rep._generators()
+    for x, y in rational_eigenlines(head).lines:
+        if all((a * x + b * y) * y == (c * x + d * y) * x for a, b, c, d, _ in gens):
+            return True, (x, y)
     return False, None
 
 
@@ -236,7 +225,7 @@ def algebra_dimension(rep: Representation) -> int:
             basis.append((vec, lead))
         return lead is not None
 
-    gens = [rep._letters[i] for i in range(1, rep.presentation.rank + 1)]
+    gens = rep._generators()
     insert(IDENTITY)
     worklist = [IDENTITY]
     while worklist and len(basis) < 4:
@@ -271,15 +260,16 @@ class ClassificationReport:
 def _character_exponents(
     rep: Representation, line: Line
 ) -> Tuple[Tuple[str, int], ...]:
-    """The eigen-character on an invariant line, as 2 * v(eigenvalue)."""
+    """The eigen-character on an invariant line, as 2 * v(eigenvalue):
+    the eigenvalue of (A, B, C, D, den) on (x, y) is (A x + B y) / (den x),
+    or (C x + D y) / (den y) when x = 0."""
     x, y = line
-    out = []
-    for name, m in rep.assignment:
-        ix, iy = _apply(m, line)
-        lam = ix / x if x != 0 else iy / y
-        out.append((name, 2 * int(_val_fraction(lam, rep.context.p))))
-    ordered = dict(out)
-    return tuple((g, ordered[g]) for g in rep.presentation.generators)
+    v = rep.context.valuation
+    return tuple(
+        (name, 2 * (v(a * x + b * y) - v(x) if x else v(c * x + d * y) - v(y))
+         - 2 * v(den))
+        for name, (a, b, c, d, den) in zip(rep.presentation.generators,
+                                           rep._generators()))
 
 
 def classify(
@@ -359,7 +349,9 @@ def commutator_trace_scan(
     Each trace comes from the Fricke identity
     tr[u, v] = tr(u)^2 + tr(v)^2 + tr(uv)^2 - tr(u) tr(v) tr(uv) - 2,
     in integers over the scaled images u = M/Du and v = N/Dv: one trace
-    of a product per pair, over the common denominator Du^2 Dv^2.
+    of a product per pair, over the common denominator Du^2 Dv^2.  As
+    [v, u] = [u, v]^-1 has the same trace, each unordered pair is
+    computed once and its value reused for the mirrored pair.
     """
     if max_total_len < 2:
         raise ValidationError("scan needs max_total_len >= 2")
@@ -375,13 +367,20 @@ def commutator_trace_scan(
                      a, b, c, d, a + d, (a + d) ** 2, den * den))
     ctx = rep.context
     out: List[Tuple[Word, ValuedRational]] = []
-    for u, u_inv, a, b, c, d, tu, tu2, du2 in rows:
-        for v, v_inv, e, f, g, h, tv, tv2, dv2 in rows:
+    traces: List[List[ValuedRational]] = []  # traces[i][j]: tr[rows i, rows j]
+    for i, (u, u_inv, a, b, c, d, tu, tu2, du2) in enumerate(rows):
+        mine: List[ValuedRational] = []
+        for j, (v, v_inv, e, f, g, h, tv, tv2, dv2) in enumerate(rows):
             if len(u) + len(v) > max_total_len:
                 break  # rows are shortlex sorted, so later v are no shorter
-            tuv = a * e + b * g + c * f + d * h
-            den = du2 * dv2
-            num = tu2 * dv2 + tv2 * du2 + tuv * (tuv - tu * tv) - 2 * den
-            out.append((_trusted_word(u + v + u_inv + v_inv),
-                        ValuedRational(Fraction(num, den), ctx)))
+            if j < i:
+                t = traces[j][i]
+            else:
+                tuv = a * e + b * g + c * f + d * h
+                den = du2 * dv2
+                num = tu2 * dv2 + tv2 * du2 + tuv * (tuv - tu * tv) - 2 * den
+                t = ValuedRational(Fraction(num, den), ctx)
+            mine.append(t)
+            out.append((_trusted_word(u + v + u_inv + v_inv), t))
+        traces.append(mine)
     return out

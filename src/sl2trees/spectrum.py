@@ -22,8 +22,8 @@ from .field import _val_fraction
 from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, ball, check_ball, letter_children,
-    scaled_image, word_texts)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_ball,
+    letter_children, scaled_image, word_texts)
 
 Row = Tuple[str, int]  # a word's text and length
 _CHUNK = 4096  # rows formatted per write
@@ -110,10 +110,12 @@ def spectrum_rows(rep: Representation, max_len: int,
 def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
-    the rows of spectrum_rows, each paired with its word from ball."""
+    the rows of spectrum_rows, each paired with its word as ball_walk
+    reaches it, so no list of the ball's words is held beside them."""
     rows = spectrum_rows(rep, max_len, max_words)
-    words = ball(rep.presentation, max_len, max_words)
-    entries = tuple((w, ell) for w, (_, ell) in zip(words, rows, strict=True))
+    walk = ball_walk(rep.presentation.rank, max_len, None, lambda state, x: None)
+    entries = tuple((_trusted_word(u), ell)
+                    for (u, _), (_, ell) in zip(walk, rows, strict=True))
     return LengthSpectrum(rep.presentation, rep.context.p, max_len, entries,
                           rep.fundamental())
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths where the point is to
 cross-check a formula: tree vertices are integer triples, displacements come
-from elementary-divisor valuations computed on raw integers, and the p-adic
-square test is a residue-table lookup.
+from elementary-divisor valuations computed on raw integers, the p-adic
+square test is a residue-table lookup, and lattice saturation spans vectors
+of Fractions.
 """
 
 import itertools
@@ -131,6 +132,53 @@ def act_fraction(g_rows, level, center, p):
     (a, b), (c, d) = g_rows
     e, f = Fraction(p) ** level, center
     return canonical_fraction(((a * e, a * f + b), (c * e, c * f + d)), p)
+
+
+def mul2(m, n):
+    """Product of 2x2 matrices given as rows."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def lattice_span(vectors, p):
+    """(alpha, beta, y): the basis [[p^alpha, y], [0, p^beta]] of the
+    local-integer span of Fraction vectors (x, y), y reduced mod p^alpha.
+    The pivot has the bottom entry of least valuation; the other vectors'
+    tops are cleared against it in Fractions."""
+    pivot = min((v for v in vectors if v[1] != 0), key=lambda v: val_fraction(v[1], p))
+    beta = val_fraction(pivot[1], p)
+    tops = [v[0] - (v[1] / pivot[1]) * pivot[0] for v in vectors if v is not pivot]
+    alpha = min(val_fraction(t, p) for t in tops if t != 0)
+    y = pivot[0] * Fraction(p) ** beta / pivot[1]
+    return alpha, beta, reduce_center(y, alpha, p)
+
+
+def saturated_lattice(gens, p, max_rounds):
+    """Grow the standard lattice by the generators (rows of Fractions) until
+    its lattice_span form stops moving: the (level, center) of its class,
+    after checking that every generator conjugated by its basis is locally
+    integral, or None when the form still moves after max_rounds rounds."""
+    form = (0, 0, Fraction(0))
+    for _ in range(max_rounds):
+        alpha, beta, y = form
+        current = [(Fraction(p) ** alpha, Fraction(0)), (y, Fraction(p) ** beta)]
+        spanning = current + [(a * x + b * z, c * x + d * z)
+                              for (a, b), (c, d) in gens for x, z in current]
+        grown = lattice_span(spanning, p)
+        if grown == form:
+            break
+        form = grown
+    else:
+        return None
+    alpha, beta, y = form
+    basis = ((Fraction(p) ** alpha, y), (Fraction(0), Fraction(p) ** beta))
+    det = basis[0][0] * basis[1][1]
+    inverse = ((basis[1][1] / det, -y / det), (Fraction(0), basis[0][0] / det))
+    for m in gens:
+        conj = mul2(mul2(inverse, m), basis)
+        assert all(val_fraction(x, p) >= 0 for row in conj for x in row)
+    return canonical_fraction(basis, p)
 
 
 def graph_distance(adjacency, start, goal):

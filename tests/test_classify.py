@@ -14,6 +14,7 @@ from sl2trees import (
     PrimeContext,
     Presentation,
     Representation,
+    SaturationCapExceededError,
     SL2Matrix,
     TreeVertex,
     ValidationError,
@@ -29,6 +30,7 @@ from sl2trees import (
     parse_word,
 )
 
+from _oracles import saturated_lattice, val_fraction
 from conftest import (
     diag_rep,
     free2_rep,
@@ -77,6 +79,17 @@ def test_relators_must_hold():
         {"a1": diag, "b1": rot, "a2": rot, "b2": diag},
     )
     assert rep.evaluate(rep.presentation.relators[0]) == SL2Matrix.identity(CTX)
+
+
+def test_relator_image_must_be_the_identity_entrywise():
+    # a unipotent relator image has the identity's diagonal, and -1 is
+    # central with the right off-diagonal: neither is the identity
+    u = SL2Matrix(((1, Fraction(1, 3)), (0, 1)), CTX)
+    for m in (u, -SL2Matrix.identity(CTX)):
+        with pytest.raises(ValidationError, match="relator"):
+            Representation(Presentation.explicit(["a"], ["a"]), {"a": m})
+    e = SL2Matrix.identity(CTX)
+    assert Representation(Presentation.explicit(["a"], ["a"]), {"a": e})
 
 
 def test_representation_helpers():
@@ -133,6 +146,47 @@ def test_certificate_for_conjugated_integral_rep():
             assert act(g, v) == v
 
 
+def test_certificate_matches_the_fraction_oracle():
+    # conjugated integral generators at p = 2, 3, 5, 7, ranks 1-3 and
+    # conjugator depths 1-4; the fixed vertex and the round cap agree
+    # with saturation on Fraction vectors
+    rng = random.Random(5506)
+    outcomes = {rounds: set() for rounds in (1, 2, 3)}
+    for i in range(320):
+        ctx = PrimeContext((2, 3, 5, 7)[i % 4])
+        presentation = Presentation.free(1 + (i // 4) % 3)
+        h = random_sl2(rng, ctx, steps=1 + (i // 12) % 4)
+        rep = Representation(presentation, {
+            name: random_integral_sl2(rng, ctx).conjugated_by(h)
+            for name in presentation.generators})
+        gens = [m.rows() for m in rep.matrices]
+        v = fixed_lattice_certificate(rep)
+        assert (v.level, v.center) == saturated_lattice(gens, ctx.p, 64)
+        for rounds in (1, 2, 3):
+            want = saturated_lattice(gens, ctx.p, rounds)
+            outcomes[rounds].add(want is None)
+            if want is None:
+                with pytest.raises(SaturationCapExceededError):
+                    fixed_lattice_certificate(rep, max_rounds=rounds)
+            else:
+                v = fixed_lattice_certificate(rep, max_rounds=rounds)
+                assert (v.level, v.center) == want
+    # one round stops every saturation that grows and lets the rest finish;
+    # on this corpus every saturation is stable by its second round
+    assert outcomes == {1: {True, False}, 2: {False}, 3: {False}}
+
+
+def test_certificate_verification_catches_a_wrong_lattice(monkeypatch):
+    # a span that never moves leaves the standard lattice, which the
+    # conjugated SL2(Z) pair does not fix: the act check must refuse it
+    module = importlib.import_module("sl2trees.classify")
+    rep = sl2z_pair(CTX).conjugated_by(SL2Matrix(((1, Fraction(1, 3)), (0, 1)), CTX))
+    assert fixed_lattice_certificate(rep) != TreeVertex(0, 0, CTX)
+    monkeypatch.setattr(module, "_span", lambda vectors, p: (0, 0, Fraction(0)))
+    with pytest.raises(ValidationError, match="failed verification"):
+        fixed_lattice_certificate(rep)
+
+
 def test_certificate_rejects_unbounded():
     with pytest.raises(NotBoundedError):
         fixed_lattice_certificate(diag_rep(CTX))
@@ -186,6 +240,37 @@ def test_invariant_line_transported_by_conjugation():
         assert hx * y == hy * x
 
 
+def test_invariant_line_and_characters_match_fractions():
+    # triangular generators [[t, s], [0, 1/t]] conjugated by h: the line
+    # and the characters are re-derived in Fraction arithmetic
+    rng = random.Random(5507)
+    for i in range(120):
+        ctx = PrimeContext((2, 3, 5, 7)[i % 4])
+        p, presentation = ctx.p, Presentation.free(1 + (i // 4) % 3)
+        h = random_sl2(rng, ctx, steps=1 + (i // 12) % 4)
+        diagonal, assignment = {}, {}
+        for name in presentation.generators:
+            t = rng.choice([1, -1, 2, -3]) * Fraction(p) ** rng.randint(-2, 2)
+            s = Fraction(rng.randint(-3, 3), p ** rng.randint(0, 2))
+            diagonal[name] = t
+            assignment[name] = SL2Matrix(((t, s), (0, 1 / t)), ctx).conjugated_by(h)
+        rep = Representation(presentation, assignment)
+        r = classify(rep)
+        assert r.reducible_over_rationals
+        x, y = r.invariant_line
+        characters = []
+        for name in presentation.generators:
+            m = rep.matrix(name)
+            ix, iy = m.a * x + m.b * y, m.c * x + m.d * y
+            assert ix * y == iy * x
+            lam = ix / x if x else iy / y
+            characters.append((name, 2 * val_fraction(lam, p)))
+        assert r.character_exponents == tuple(characters)
+        if h.a * y == h.c * x:  # the line h (1, 0), where every eigenvalue is t
+            assert characters == [(name, 2 * val_fraction(diagonal[name], p))
+                                  for name in presentation.generators]
+
+
 def test_algebra_dimension_frozen():
     e = SL2Matrix.identity(CTX)
     u = SL2Matrix(((1, 1), (0, 1)), CTX)
@@ -211,8 +296,9 @@ def test_classify_sl2z_pair():
     assert r.character_exponents is None
 
 
-def test_classify_computes_fundamental_traces_once(monkeypatch):
-    # the module, not the package's re-exported `classify` function
+def test_classify_computes_no_fundamental_traces(monkeypatch):
+    # boundedness reads trace valuations off scaled images, so classify
+    # builds no trace vector; the module, not the re-exported function
     module = importlib.import_module("sl2trees.classify")
     real, calls = module.fundamental_traces, []
 
@@ -222,7 +308,8 @@ def test_classify_computes_fundamental_traces_once(monkeypatch):
 
     monkeypatch.setattr(module, "fundamental_traces", counted)
     assert classify(sl2z_pair(CTX)).bounded
-    assert len(calls) == 1
+    assert not classify(diag_rep(CTX)).bounded
+    assert calls == []
 
 
 def test_classify_shared_line_pair():
