@@ -51,13 +51,11 @@ from .tree import (
     act,
     canonical_vertex,
     distance,
-    distance_via_matrices,
     edge_fixed_by,
     geodesic,
     neighbors,
     parse_vertex,
     tree_ball,
-    vertex_type,
 )
 from .tree import ball_vertex_count
 from .isometry import (
@@ -76,7 +74,6 @@ from .traces import (
     TracePolynomial,
     fundamental_traces,
     subset_keys,
-    trace_of_word,
     trace_polynomial,
     variable_name,
 )

@@ -27,7 +27,7 @@ from .errors import (
 from .field import PrimeContext, ValuedRational, _val_fraction
 from .isometry import rational_eigenlines
 from .matrices import (
-    IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul, unscaled)
+    IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
 from .tree import TreeVertex, _center, act
 from .words import (
@@ -81,7 +81,7 @@ class Representation:
         return dict(self.assignment)[name]
 
     def evaluate(self, w: Word) -> SL2Matrix:
-        return unscaled(scaled_image(w, self._letters), self.context)
+        return SL2Matrix._of(scaled_image(w, self._letters), self.context)
 
     def trace(self, w: Word) -> ValuedRational:
         return self.evaluate(w).trace()

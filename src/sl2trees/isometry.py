@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -28,8 +27,12 @@ HYPERBOLIC = "hyperbolic"
 
 
 def translation_length(g: SL2Matrix) -> int:
-    """Stable displacement of g; 0 exactly when g fixes a vertex."""
-    return -2 * g.trace().loc_min()
+    """Stable displacement of g; 0 exactly when g fixes a vertex.  It is
+    -2 min(0, v(tr g)), which on g's scaled tuple (a, b, c, d, den) is
+    2 max(0, v(den) - v(a + d))."""
+    a, _, _, d, den = g.scaled
+    v = g.context.valuation
+    return 2 * max(0, v(den) - v(a + d))
 
 
 def classify_isometry(g: SL2Matrix) -> str:
@@ -111,35 +114,14 @@ class EigenLines(NamedTuple):
     lines: Tuple[Tuple[int, int], ...]
 
 
-def _normalize_line(x: Fraction, y: Fraction) -> Tuple[int, int]:
-    """Projective point as a coprime integer pair, leading sign positive."""
-    if x == 0 and y == 0:
-        raise ValidationError("(0, 0) is not a projective point")
-    scale = Fraction(math.lcm(x.denominator, y.denominator))
-    xi, yi = int(x * scale), int(y * scale)
-    g = math.gcd(xi, yi)
-    xi, yi = xi // g, yi // g
-    lead = xi if xi != 0 else yi
-    if lead < 0:
-        xi, yi = -xi, -yi
-    return (xi, yi)
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _eigenline_for(g: SL2Matrix, lam: Fraction) -> Tuple[int, int]:
-    # (g - lam) has rank 1 here; either row yields the kernel direction
-    if g.b != 0 or lam != g.a:
-        return _normalize_line(g.b, lam - g.a)
-    return _normalize_line(lam - g.d, g.c)
+def _line(a: int, b: int, c: int, d: int, r: int) -> Tuple[int, int]:
+    """Eigenline of (A, B, C, D, den) for the eigenvalue (A + D + r) / 2den,
+    as a coprime pair with its leading nonzero entry positive.  Either row
+    of 2den (g - lambda) gives the kernel: (2B, D - A + r) unless that is
+    zero, then (A - D + r, 2C), which is not zero for non-central g."""
+    x, y = (2 * b, d - a + r) if b or d - a + r else (a - d + r, 2 * c)
+    g = math.gcd(x, y) if (x or y) > 0 else -math.gcd(x, y)
+    return (x // g, y // g)
 
 
 def rational_eigenlines(g: SL2Matrix) -> EigenLines:
@@ -151,14 +133,12 @@ def rational_eigenlines(g: SL2Matrix) -> EigenLines:
     """
     if g.is_central():
         return EigenLines("all", ())
-    t = g.a + g.d
-    disc = t * t - 4
-    if disc == 0:
-        return EigenLines("one", (_eigenline_for(g, t / 2),))
-    root = _rational_sqrt(disc)
-    if root is None:
+    a, b, c, d, den = g.scaled
+    disc = (a + d) ** 2 - 4 * den * den  # (tr^2 - 4) den^2
+    r = math.isqrt(max(disc, 0))
+    if r * r != disc:
         return EigenLines("none", ())
-    lines = sorted(
-        (_eigenline_for(g, (t + root) / 2), _eigenline_for(g, (t - root) / 2))
-    )
-    return EigenLines("two", tuple(lines))
+    if r == 0:
+        return EigenLines("one", (_line(a, b, c, d, 0),))
+    return EigenLines("two", tuple(sorted((_line(a, b, c, d, r),
+                                           _line(a, b, c, d, -r)))))

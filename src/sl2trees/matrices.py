@@ -1,10 +1,13 @@
 """Determinant-one 2x2 matrices over the valued rationals, and one kernel.
 
-Products run on a scaled form: integers (A, B, C, D, den) with
-m = [[A, B], [C, D]] / den, den the lcm of m's entry denominators, and
-the adjugate (D, -B, -C, A, den) as the inverse.  A word's image is an
-integer fold of these, with no gcd per letter; only the result becomes
-Fractions again, and its determinant is checked there, once.
+A matrix is stored in one form only, its scaled tuple: integers
+(A, B, C, D, den) with m = [[A, B], [C, D]] / den, den > 0 and
+gcd(A, B, C, D, den) = 1, so den is the lcm of m's entry denominators
+and the form is unique.  The entries a, b, c, d are read-only Fraction
+views of it.  The adjugate (D, -B, -C, A, den) is the inverse, and a
+word's image is an integer fold of scaled tuples, with no gcd per
+letter; the result's determinant is checked and its gcd taken once,
+when it becomes an SL2Matrix again.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
-from .errors import (
-    ContextMismatchError, DeterminantNotOneError, SingularMatrixError)
+from .errors import ContextMismatchError, DeterminantNotOneError
 from .field import PrimeContext, RationalLike, ValuedRational, _coerce
 
 EntryLike = Union[RationalLike, ValuedRational]
@@ -35,28 +37,43 @@ def _entry(value: EntryLike, context: PrimeContext) -> Fraction:
 class SL2Matrix:
     """Exact 2x2 matrix with determinant 1, tied to one prime context.
 
-    The determinant condition is enforced at construction; the inverse
-    is just the adjugate, and a product goes through the scaled kernel,
-    which checks the determinant of its result.
+    The constructor validates the entries, scales them once and checks
+    the determinant as A D - B C == den^2; every other matrix (a
+    product, a power, an adjugate or a negation) is made by _of from a
+    scaled tuple.
     """
 
-    __slots__ = ("a", "b", "c", "d", "context")
+    __slots__ = ("scaled", "context")
 
     def __init__(self, rows: Sequence[Sequence[EntryLike]], context: PrimeContext):
         (a, b), (c, d) = rows
-        self.a = _entry(a, context)
-        self.b = _entry(b, context)
-        self.c = _entry(c, context)
-        self.d = _entry(d, context)
-        self.context = context
-        if self.a * self.d - self.b * self.c != 1:
+        entries = [_entry(x, context) for x in (a, b, c, d)]
+        den = math.lcm(*(x.denominator for x in entries))
+        a, b, c, d = (x.numerator * (den // x.denominator) for x in entries)
+        if a * d - b * c != den * den:
             raise DeterminantNotOneError(
-                f"det = {self.a * self.d - self.b * self.c}, expected 1"
-            )
+                f"det = {Fraction(a * d - b * c, den * den)}, expected 1")
+        self.scaled: Scaled = (a, b, c, d, den)
+        self.context = context
+
+    @classmethod
+    def _of(cls, m: Scaled, context: PrimeContext) -> "SL2Matrix":
+        """The SL2Matrix of a scaled product (den > 0): its determinant
+        checked once, its five integers divided by their gcd."""
+        g = math.gcd(*checked(m))
+        out = object.__new__(cls)
+        out.scaled = m if g == 1 else tuple(x // g for x in m)
+        out.context = context
+        return out
 
     @classmethod
     def identity(cls, context: PrimeContext) -> "SL2Matrix":
-        return cls(((1, 0), (0, 1)), context)
+        return cls._of(IDENTITY, context)
+
+    a = property(lambda self: Fraction(self.scaled[0], self.scaled[4]))
+    b = property(lambda self: Fraction(self.scaled[1], self.scaled[4]))
+    c = property(lambda self: Fraction(self.scaled[2], self.scaled[4]))
+    d = property(lambda self: Fraction(self.scaled[3], self.scaled[4]))
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
@@ -66,33 +83,36 @@ class SL2Matrix:
             return NotImplemented
         if other.context != self.context:
             raise ContextMismatchError("matrix product across different primes")
-        return unscaled(scaled_mul(scaled(self), scaled(other)), self.context)
+        return SL2Matrix._of(scaled_mul(self.scaled, other.scaled), self.context)
 
     def inverse(self) -> "SL2Matrix":
-        return SL2Matrix(((self.d, -self.b), (-self.c, self.a)), self.context)
+        a, b, c, d, den = self.scaled
+        return SL2Matrix._of((d, -b, -c, a, den), self.context)
 
     def __pow__(self, k: int) -> "SL2Matrix":
-        base, out = scaled(self if k >= 0 else self.inverse()), IDENTITY
+        base, out = (self if k >= 0 else self.inverse()).scaled, IDENTITY
         for bit in bin(abs(k))[2:]:
             out = scaled_mul(out, out)
             if bit == "1":
                 out = scaled_mul(out, base)
-        return unscaled(out, self.context)
+        return SL2Matrix._of(out, self.context)
 
     def __neg__(self) -> "SL2Matrix":
-        return SL2Matrix(((-self.a, -self.b), (-self.c, -self.d)), self.context)
+        a, b, c, d, den = self.scaled
+        return SL2Matrix._of((-a, -b, -c, -d, den), self.context)
 
     def trace(self) -> ValuedRational:
-        return ValuedRational(self.a + self.d, self.context)
+        a, _, _, d, den = self.scaled
+        return ValuedRational(Fraction(a + d, den), self.context)
 
     def is_integral(self) -> bool:
         """Whether every entry has nonnegative valuation."""
-        val = self.context.valuation
-        return all(val(x) >= 0 for x in (self.a, self.b, self.c, self.d))
+        return self.scaled[4] % self.context.p != 0
 
     def is_central(self) -> bool:
         """True exactly for +identity and -identity."""
-        return self.b == 0 and self.c == 0 and self.a == self.d
+        a, b, c, d, _ = self.scaled
+        return b == c == 0 and a == d
 
     def conjugated_by(self, h: "SL2Matrix") -> "SL2Matrix":
         """h * self * h^-1."""
@@ -101,27 +121,13 @@ class SL2Matrix:
     def __eq__(self, other):
         if not isinstance(other, SL2Matrix):
             return NotImplemented
-        return (
-            self.context == other.context
-            and (self.a, self.b, self.c, self.d)
-            == (other.a, other.b, other.c, other.d)
-        )
+        return self.scaled == other.scaled and self.context == other.context
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.context.p))
+        return hash((self.scaled, self.context.p))
 
     def __repr__(self):
         return f"SL2Matrix([[{self.a}, {self.b}], [{self.c}, {self.d}]], p={self.context.p})"
-
-
-def scaled(m: SL2Matrix) -> Scaled:
-    """m as integers (A, B, C, D) over the lcm den of its denominators."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    return (a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            c.numerator * (den // c.denominator),
-            d.numerator * (den // d.denominator), den)
 
 
 def letter_table(matrices: Sequence[SL2Matrix]) -> Dict[int, Scaled]:
@@ -132,7 +138,7 @@ def letter_table(matrices: Sequence[SL2Matrix]) -> Dict[int, Scaled]:
     for i, m in enumerate(matrices, start=1):
         if m.context != matrices[0].context:
             raise ContextMismatchError("generator matrices disagree on the prime")
-        a, b, c, d, den = table[i] = scaled(m)
+        a, b, c, d, den = table[i] = m.scaled
         table[-i] = (d, -b, -c, a, den)
     return table
 
@@ -150,29 +156,3 @@ def checked(m: Scaled) -> Scaled:
     if a * d - b * c != den * den:
         raise DeterminantNotOneError("a scaled product lost determinant 1")
     return m
-
-
-def unscaled(m: Scaled, context: PrimeContext) -> SL2Matrix:
-    """The SL2Matrix of a scaled product, its determinant checked once."""
-    a, b, c, d, den = checked(m)
-    out = object.__new__(SL2Matrix)
-    out.a, out.b = Fraction(a, den), Fraction(b, den)
-    out.c, out.d = Fraction(c, den), Fraction(d, den)
-    out.context = context
-    return out
-
-
-def mul2(m, n):
-    """Plain product of 2x2 matrices given as rows, any exact entries."""
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def inv2(m):
-    """Plain inverse of a 2x2 matrix given as rows of Fractions."""
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    return ((d / det, -b / det), (-c / det, a / det))

@@ -51,7 +51,10 @@ def _parse_rational(value, where: str) -> Fraction:
     )
 
 
-def _parse_group(data) -> Presentation:
+def _parse_group(data, given: int) -> Presentation:
+    """The presentation a group descriptor names; given, the number of
+    generator matrices in the file, bounds a surface genus before its
+    2 * genus names are built."""
     _require_keys(data, ("kind",), ("rank", "genus", "generators", "relators"),
                   "group descriptor")
     kind = data.get("kind")
@@ -74,6 +77,9 @@ def _parse_group(data) -> Presentation:
         genus = data["genus"]
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise ValidationError("surface genus must be an integer")
+        if 2 * genus > given:
+            raise ValidationError(f"surface genus {genus} needs 2 * genus "
+                                  f"generator matrices, the file gives {given}")
         return Presentation.surface(genus)
     if kind == "explicit":
         _require_keys(
@@ -121,10 +127,10 @@ def parse_representation(data) -> Representation:
     if isinstance(prime, bool) or not isinstance(prime, int):
         raise ValidationError("prime must be an integer")
     context = PrimeContext(prime)
-    presentation = _parse_group(data["group"])
     gens = data["generators"]
     if not isinstance(gens, dict):
         raise ValidationError("generators must map names to matrices")
+    presentation = _parse_group(data["group"], len(gens))
     expected = set(presentation.generators)
     given = set(gens)
     if given != expected:

@@ -19,22 +19,19 @@ from typing import Iterable, Iterator, TextIO, Tuple
 
 from .classify import Representation
 from .field import _val_fraction
-from .matrices import checked
+from .isometry import translation_length
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_ball,
-    letter_children, scaled_image, word_texts)
+    letter_children, word_texts)
 
 Row = Tuple[str, int]  # a word's text and length
 _CHUNK = 4096  # rows formatted per write
 
 
 def length_of(rep: Representation, w: Word) -> int:
-    """Translation length -2 min(0, v(tr)) of the image of w, from its
-    scaled image (a, b, c, d, den): 2 max(0, v(den) - v(a + d))."""
-    a, _, _, d, den = checked(scaled_image(w, rep._letters))
-    v = rep.context.valuation
-    return 2 * max(0, v(den) - v(a + d))
+    """Translation length of the image of w."""
+    return translation_length(rep.evaluate(w))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .errors import (
     UnknownGeneratorError,
     ValidationError,
 )
-from .matrices import IDENTITY, SL2Matrix, letter_table, scaled_mul, unscaled
-from .words import Word, _cyclic_reduce_letters, evaluate
+from .matrices import IDENTITY, SL2Matrix, letter_table, scaled_mul
+from .words import Word, _cyclic_reduce_letters
 
 VarKey = Tuple[int, ...]        # strictly increasing generator indices
 Monomial = Tuple[VarKey, ...]   # sorted variable factors
@@ -367,10 +367,5 @@ def fundamental_traces(matrices: Sequence[SL2Matrix]) -> FundamentalTraceVector:
     table, images, entries = letter_table(matrices), {(): IDENTITY}, {}
     for s in subset_keys(len(matrices)):
         images[s] = scaled_mul(images[s[:-1]], table[s[-1]])
-        entries[s] = unscaled(images[s], matrices[0].context).trace()
+        entries[s] = SL2Matrix._of(images[s], matrices[0].context).trace()
     return FundamentalTraceVector(len(matrices), entries)
-
-
-def trace_of_word(w: Word, matrices: Sequence[SL2Matrix]):
-    """Trace of the word's image matrix, the direct route."""
-    return evaluate(w, matrices).trace()

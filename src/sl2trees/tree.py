@@ -16,7 +16,7 @@ from typing import List, Tuple, Union
 
 from .errors import ContextMismatchError, SingularMatrixError, ValidationError
 from .field import PrimeContext, _coerce, _val_fraction
-from .matrices import SL2Matrix, inv2, mul2, scaled
+from .matrices import SL2Matrix
 from .words import check_size, sphere_sizes
 
 DEFAULT_NODE_CAP = 100_000
@@ -59,13 +59,6 @@ class TreeVertex:
         self.__dict__.update(level=level, context=context,
                              center=_center(c.numerator, c.denominator, level, context.p))
 
-    def basis(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        """Upper-triangular lattice basis [[p^n, c], [0, 1]]."""
-        return (
-            (Fraction(self.context.p) ** self.level, self.center),
-            (Fraction(0), Fraction(1)),
-        )
-
     def text(self) -> str:
         try:
             return f"({self.level}; {self.center})"
@@ -99,11 +92,6 @@ def parse_vertex(text: str, context: PrimeContext) -> TreeVertex:
     return TreeVertex(level, center, context)
 
 
-def vertex_type(v: TreeVertex) -> int:
-    """Parity class of the vertex, preserved by every determinant-1 action."""
-    return v.level % 2
-
-
 def _require_same_context(u: TreeVertex, v: TreeVertex):
     if u.context != v.context:
         raise ContextMismatchError("vertices live in trees of different primes")
@@ -122,22 +110,6 @@ def _meet_level(u: TreeVertex, v: TreeVertex) -> int:
     sep = _val_fraction(u.center - v.center, u.context.p)
     m = min(u.level, v.level)
     return m if sep >= m else int(sep)
-
-
-def distance_via_matrices(u: TreeVertex, v: TreeVertex) -> int:
-    """Same distance, read off the elementary divisors of M_u^-1 M_v.
-
-    For the change-of-basis matrix N the distance is v(det N) minus
-    twice the minimal entry valuation; kept as an independent route and
-    cross-checked against the normal-form formula.
-    """
-    _require_same_context(u, v)
-    n = mul2(inv2(u.basis()), v.basis())
-    p = u.context.p
-    (a, b), (c, d) = n
-    det = a * d - b * c
-    minval = min(_val_fraction(x, p) for x in (a, b, c, d))
-    return int(_val_fraction(det, p)) - 2 * int(minval)
 
 
 def neighbors(v: TreeVertex) -> List[TreeVertex]:
@@ -200,7 +172,7 @@ def act(g: SL2Matrix, v: TreeVertex) -> TreeVertex:
     """Image vertex under the linear action on lattice classes."""
     if g.context != v.context:
         raise ContextMismatchError("matrix and vertex primes differ")
-    a, b, c, d, den = scaled(g)
+    a, b, c, d, den = g.scaled
     p, n = v.context.p, v.level
     r, pe = v.center.numerator, v.center.denominator
     e = _val_fraction(pe, p)
@@ -217,9 +189,11 @@ def canonical_vertex(
     Accepts any invertible exact 2x2 matrix, scaled to integers (the
     class is the same) for column operations over the local integers.
     """
-    if isinstance(m, SL2Matrix):
-        context, m = m.context, m.rows()
-    elif context is None:
+    if isinstance(m, SL2Matrix):  # its scaled tuple has det den^2
+        a, b, c, d, den = m.scaled
+        return _span_vertex(a, c, 0, b, d, 2 * _val_fraction(den, m.context.p),
+                            m.context)
+    if context is None:
         raise ValidationError("plain matrix input needs an explicit context")
     (a0, b0), (c0, d0) = m
     entries = [_coerce(x) for x in (a0, b0, c0, d0)]

@@ -21,7 +21,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .matrices import (
-    IDENTITY, SL2Matrix, Scaled, letter_table, scaled_mul, unscaled)
+    IDENTITY, SL2Matrix, Scaled, letter_table, scaled_mul)
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
@@ -319,7 +319,7 @@ def evaluate(w: Word, matrices: Sequence[SL2Matrix]) -> SL2Matrix:
     """Image of a word under generator index -> matrix; empty word -> id."""
     if not matrices:
         raise ValidationError("evaluation needs at least one generator matrix")
-    return unscaled(scaled_image(w, letter_table(matrices)), matrices[0].context)
+    return SL2Matrix._of(scaled_image(w, letter_table(matrices)), matrices[0].context)
 
 
 def scaled_image(w: Word, table: Dict[int, Scaled]) -> Scaled:

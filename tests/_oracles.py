@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths where the point is to
 cross-check a formula: tree vertices are integer triples, displacements come
 from elementary-divisor valuations computed on raw integers, the p-adic
-square test is a residue-table lookup, and lattice saturation spans vectors
-of Fractions.
+square test is a residue-table lookup, lattice saturation spans vectors
+of Fractions, and distances and eigenlines have Fraction routes of their
+own.
 """
 
 import itertools
@@ -141,6 +142,71 @@ def mul2(m, n):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
+def inv2(m):
+    """Inverse of an invertible 2x2 matrix given as rows of Fractions."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+def vertex_basis(v):
+    """Upper-triangular lattice basis [[p^n, c], [0, 1]] of a TreeVertex."""
+    return ((Fraction(v.context.p) ** v.level, v.center), (Fraction(0), Fraction(1)))
+
+
+def distance_via_matrices(u, v):
+    """Tree distance of two TreeVertex objects, read off the elementary
+    divisors of the change of basis N = M_u^-1 M_v: v(det N) minus twice
+    the least entry valuation of N, all in Fractions."""
+    p = u.context.p
+    (a, b), (c, d) = mul2(inv2(vertex_basis(u)), vertex_basis(v))
+    return val_fraction(a * d - b * c, p) - 2 * min(
+        val_fraction(x, p) for x in (a, b, c, d))
+
+
+def _normalize_line(x, y):
+    """A projective point of Fractions as a coprime integer pair, its
+    leading nonzero entry positive."""
+    scale = math.lcm(x.denominator, y.denominator)
+    xi, yi = int(x * scale), int(y * scale)
+    g = math.gcd(xi, yi)
+    xi, yi = xi // g, yi // g
+    return (-xi, -yi) if (xi if xi else yi) < 0 else (xi, yi)
+
+
+def _rational_sqrt(q):
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if (rn * rn, rd * rd) == (q.numerator, q.denominator) else None
+
+
+def _eigenline(rows, lam):
+    # (g - lam) has rank 1 here; either row yields the kernel direction
+    (a, b), (c, d) = rows
+    if b != 0 or lam != a:
+        return _normalize_line(b, lam - a)
+    return _normalize_line(lam - d, c)
+
+
+def eigenlines_fraction(rows):
+    """(kind, lines) of the rational eigenlines of a determinant-1 matrix
+    given as rows of Fractions, with eigenvalues (t +- sqrt(t^2 - 4)) / 2
+    in Fractions: "all" for +-I, then "one", "two" (sorted) or "none" as
+    the discriminant is zero, a nonzero rational square, or neither."""
+    (a, b), (c, d) = rows
+    if b == 0 and c == 0 and a == d:
+        return ("all", ())
+    t = a + d
+    if t * t == 4:
+        return ("one", (_eigenline(rows, t / 2),))
+    root = _rational_sqrt(t * t - 4)
+    if root is None:
+        return ("none", ())
+    return ("two", tuple(sorted((_eigenline(rows, (t + root) / 2),
+                                 _eigenline(rows, (t - root) / 2)))))
+
+
 def lattice_span(vectors, p):
     """(alpha, beta, y): the basis [[p^alpha, y], [0, p^beta]] of the
     local-integer span of Fraction vectors (x, y), y reduced mod p^alpha.
@@ -173,8 +239,7 @@ def saturated_lattice(gens, p, max_rounds):
         return None
     alpha, beta, y = form
     basis = ((Fraction(p) ** alpha, y), (Fraction(0), Fraction(p) ** beta))
-    det = basis[0][0] * basis[1][1]
-    inverse = ((basis[1][1] / det, -y / det), (Fraction(0), basis[0][0] / det))
+    inverse = inv2(basis)
     for m in gens:
         conj = mul2(mul2(inverse, m), basis)
         assert all(val_fraction(x, p) >= 0 for row in conj for x in row)

@@ -23,7 +23,6 @@ from sl2trees import (
     classify,
     conjugacy_test,
     distance,
-    distance_via_matrices,
     evaluate,
     fixed_lattice_certificate,
     fundamental_traces,
@@ -39,6 +38,7 @@ from _oracles import (
     ball_vertices,
     children,
     displacement,
+    distance_via_matrices,
     graph_distance,
     parent,
     vertex_key,

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -390,6 +391,21 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 1 and err.startswith("error: not valid JSON")
+
+
+@pytest.mark.parametrize("genus", [10**6, 10**8])
+def test_surface_genus_is_checked_against_the_matrices_given(capsys, tmp_path, genus):
+    # a file of under 80 bytes must not make 2 * genus generator names
+    path = tmp_path / "genus.json"
+    path.write_text('{"prime": 3, "group": {"kind": "surface", "genus": %d}, '
+                    '"generators": {}}' % genus)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (f"error: surface genus {genus} needs 2 * genus generator "
+                   "matrices, the file gives 0\n")
+    assert len(err.encode()) < 200
 
 
 def run_module(*argv):

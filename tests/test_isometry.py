@@ -23,6 +23,7 @@ from sl2trees import (
     translation_length,
 )
 
+from _oracles import eigenlines_fraction
 from conftest import random_integral_sl2, random_sl2
 
 CTX = PrimeContext(3)
@@ -194,5 +195,43 @@ def test_eigenlines_are_invariant_and_normalized():
             # rational square discriminants are squares in the completion too
             assert is_padic_square(disc)
         if kind == "none" and not g.is_central():
-            import sl2trees.isometry as iso
-            assert iso._rational_sqrt(disc.value) is None
+            # not a rational square: negative, or the reduced numerator or
+            # denominator is not a perfect square
+            q = disc.value
+            assert q < 0 or any(math.isqrt(n) ** 2 != n
+                                for n in (q.numerator, q.denominator))
+
+
+def eigen_corpus(rng, ctx):
+    """One matrix of each family, conjugated by h with entry denominators
+    p^k q (q prime to p): a diagonal with rational eigenvalues, a
+    parabolic, +-I, an order-3, -4 or -6 elliptic and a random product,
+    whose discriminant is rarely a square."""
+    p = ctx.p
+    q = rng.choice((1, 11, 13))
+    x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), p ** rng.randint(0, 3) * q)
+    h = random_sl2(rng, ctx, steps=3) * SL2Matrix(((1, 0), (x, 1)), ctx)
+    lam = Fraction(rng.choice((-1, 1)) * rng.randint(2, 9 * p), rng.choice((1, p, q, 7)))
+    sign = rng.choice((-1, 1))
+    family = (
+        SL2Matrix(((lam, 0), (0, 1 / lam)), ctx),
+        SL2Matrix(((sign, x), (0, sign)), ctx),
+        SL2Matrix(((sign, 0), (0, sign)), ctx),
+        SL2Matrix(((0, -1), (1, rng.choice((-1, 0, 1)))), ctx),
+        random_sl2(rng, ctx, steps=4),
+    )
+    return [g.conjugated_by(h) for g in family]
+
+
+def test_eigenlines_match_the_fraction_oracle():
+    rng = random.Random(3310)
+    kinds = {}
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        for _ in range(110):
+            for g in eigen_corpus(rng, ctx):
+                got = rational_eigenlines(g)
+                assert got == eigenlines_fraction(g.rows())
+                kinds[got.kind] = kinds.get(got.kind, 0) + 1
+    assert sum(kinds.values()) >= 2000
+    assert min(kinds[k] for k in ("all", "one", "two", "none")) >= 200

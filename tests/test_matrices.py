@@ -1,15 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     ContextMismatchError,
     DeterminantNotOneError,
     PrimeContext,
     SL2Matrix,
+    translation_length,
 )
 
+from _oracles import inv2, mul2, val_fraction
 from conftest import random_sl2
 
 CTX = PrimeContext(3)
@@ -87,3 +91,59 @@ def test_context_mismatch():
     n = SL2Matrix.identity(PrimeContext(5))
     with pytest.raises(ContextMismatchError):
         m * n
+
+
+# -- the stored scaled form ------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from((1, 2, 3, 4, 5, 7, 9, 11, 25, 27, 49, 2 * 13, 3 * 11)))
+FACTORS = st.lists(st.tuples(st.sampled_from("uld"), RATIONALS), max_size=5)
+ONE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def factor_rows(kind, x):
+    if kind == "u":
+        return ((Fraction(1), x), (Fraction(0), Fraction(1)))
+    if kind == "l":
+        return ((Fraction(1), Fraction(0)), (x, Fraction(1)))
+    x = x or Fraction(1)
+    return ((x, Fraction(0)), (Fraction(0), 1 / x))
+
+
+def power_rows(rows, k):
+    out = ONE
+    for _ in range(abs(k)):
+        out = mul2(out, rows if k > 0 else inv2(rows))
+    return out
+
+
+@given(st.sampled_from((2, 3, 5, 7)), FACTORS, FACTORS, st.integers(-4, 4))
+@settings(max_examples=250, deadline=None)
+def test_scaled_form_invariants(p, f, g, k):
+    """Products, powers, inverses and negations keep den > 0 and gcd 1,
+    the form is the constructor's, and ==, hash, is_integral and the
+    translation length agree with the Fraction entries of an oracle."""
+    ctx = PrimeContext(p)
+    cases = []
+    for factors in (f, g):
+        m, rows = SL2Matrix.identity(ctx), ONE
+        for kind, x in factors:
+            m, rows = m * SL2Matrix(factor_rows(kind, x), ctx), mul2(rows, factor_rows(kind, x))
+        cases.append((m, rows))
+    (m, mr), (n, nr) = cases
+    cases += [(m * n, mul2(mr, nr)), (m ** k, power_rows(mr, k)),
+              (m.inverse(), inv2(mr)), (-n, tuple(tuple(-x for x in r) for r in nr)),
+              (n * m.inverse() * m, nr)]
+    for x, rows in cases:
+        a, b, c, d, den = x.scaled
+        assert den > 0 and math.gcd(a, b, c, d, den) == 1
+        assert x.rows() == rows
+        assert SL2Matrix(rows, ctx).scaled == x.scaled
+        entries = [e for r in rows for e in r]
+        assert x.is_integral() == all(val_fraction(e, p) >= 0 for e in entries)
+        assert translation_length(x) == -2 * min(0, val_fraction(entries[0] + entries[3], p))
+    for x, xr in cases:
+        for y, yr in cases:
+            assert (x == y) == (xr == yr)
+            if x == y:
+                assert hash(x) == hash(y)

@@ -164,6 +164,14 @@ def test_group_descriptor_validation():
             doc(group={"kind": "surface", "genus": 2, "rank": 2}))
 
 
+def test_surface_genus_needs_two_matrices_per_handle():
+    with pytest.raises(ValidationError, match=r"^surface genus 2 needs 2 \* genus "
+                       r"generator matrices, the file gives 2$"):
+        parse_representation(doc(group={"kind": "surface", "genus": 2}))
+    with pytest.raises(ValidationError, match=r"missing \['a1', 'b1'\]"):
+        parse_representation(doc(group={"kind": "surface", "genus": 1}))
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValidationError, match="2x2 array"):
         parse_representation(

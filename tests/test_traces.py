@@ -18,11 +18,11 @@ from sl2trees import (
     ValidationError,
     Word,
     cyclic_reduce,
+    evaluate,
     free_reduce,
     fundamental_traces,
     parse_word,
     subset_keys,
-    trace_of_word,
     trace_polynomial,
     variable_name,
 )
@@ -256,7 +256,7 @@ def test_trace_polynomial_matches_matrix_trace():
         poly = trace_polynomial(w, rank)
         mats = [random_sl2(rng, CTX, steps=3) for _ in range(rank)]
         ftv = fundamental_traces(mats)
-        assert poly.evaluate(ftv) == trace_of_word(w, mats)
+        assert poly.evaluate(ftv) == evaluate(w, mats).trace()
 
 
 def test_trace_of_word_against_direct_product():
@@ -267,7 +267,7 @@ def test_trace_of_word_against_direct_product():
         direct = SL2Matrix.identity(CTX)
         for x in w.letters:
             direct = direct * (mats[x - 1] if x > 0 else mats[-x - 1].inverse())
-        assert trace_of_word(w, mats) == direct.trace()
+        assert evaluate(w, mats).trace() == direct.trace()
 
 
 def test_fundamental_traces_order_and_values():
@@ -287,7 +287,7 @@ def test_integral_traces_stay_integral():
     assert all(val.valuation() >= 0 for _, val in fundamental_traces(mats).ordered())
     for _ in range(50):
         w = Word(random_letters(rng, 2, rng.randint(0, 10)))
-        assert trace_of_word(w, mats).valuation() >= 0
+        assert evaluate(w, mats).trace().valuation() >= 0
 
 
 def test_rank_bound_enforced():

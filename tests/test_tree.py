@@ -20,7 +20,6 @@ from sl2trees import (
     ball_vertex_count,
     canonical_vertex,
     distance,
-    distance_via_matrices,
     edge_fixed_by,
     fixed_vertex,
     geodesic,
@@ -28,11 +27,11 @@ from sl2trees import (
     parse_vertex,
     translation_length,
     tree_ball,
-    vertex_type,
 )
 
 from sl2trees.tree import DEFAULT_NODE_CAP
 
+from _oracles import distance_via_matrices
 from conftest import random_integral_sl2, random_sl2
 
 CTX = PrimeContext(3)
@@ -102,6 +101,18 @@ def test_canonical_vertex_singular():
         canonical_vertex(((0, 0), (0, 0)), CTX)
 
 
+def test_canonical_vertex_of_a_matrix_is_its_image_of_the_origin():
+    # an SL2Matrix is read off its scaled tuple, plain rows off Fractions
+    rng = random.Random(2209)
+    for p in (2, 3, 5):
+        ctx = PrimeContext(p)
+        origin = TreeVertex(0, 0, ctx)
+        for _ in range(60):
+            g = random_sl2(rng, ctx)
+            assert canonical_vertex(g) == canonical_vertex(g.rows(), ctx)
+            assert canonical_vertex(g) == act(g, origin)
+
+
 def test_canonical_vertex_lattice_class_invariance():
     # right multiplication by an integral unit-determinant matrix and global
     # rational scaling both preserve the lattice class
@@ -152,8 +163,8 @@ def test_distance_metric_properties():
         assert (duv == 0) == (u == v)
         assert duv == distance(v, u)
         assert duv <= distance(u, w) + distance(w, v)
-        # tree parity: distance parity matches type parity
-        assert duv % 2 == (vertex_type(u) + vertex_type(v)) % 2
+        # tree parity: distance parity matches level parity
+        assert duv % 2 == (u.level + v.level) % 2
 
 
 def test_distance_routes_agree():
@@ -212,7 +223,7 @@ def test_neighbors_properties():
             assert len(set(ns)) == p + 1
             for w in ns:
                 assert distance(v, w) == 1
-                assert vertex_type(w) == (vertex_type(v) + 1) % 2
+                assert w.level % 2 == (v.level + 1) % 2
 
 
 # -- group action --------------------------------------------------------
@@ -235,7 +246,7 @@ def test_act_is_isometric_action():
         v = random_vertex(rng, CTX)
         assert act(g, act(h, u)) == act(g * h, u)
         assert distance(act(g, u), act(g, v)) == distance(u, v)
-        assert vertex_type(act(g, u)) == vertex_type(u)
+        assert act(g, u).level % 2 == u.level % 2
 
 
 def test_integral_matrices_fix_origin():
