@@ -3,22 +3,25 @@
 For determinant-1 matrices the trace of any word in n generators is an
 integer polynomial in the 2^n - 1 fundamental traces t_S, one for each
 strictly increasing product of distinct generators.  The rewriter below
-computes that polynomial with four trace identities:
+takes the canonical form of the word's class under rotation and
+inversion, and rewrites it by three identities, each linear with a
+monomial coefficient:
 
-  rotation          tr(uv)    = tr(vu)
-  inverse removal   tr(u g')  = tr(u) tr(g) - tr(u g)
-  square removal    tr(u g g) = tr(u g) tr(g) - tr(u)
-  split             tr(x y)   = tr(x) tr(y) - tr(x y')
-  reorder           tr(acb)   = tr(a)tr(bc) + tr(b)tr(ac) + tr(c)tr(ab)
-                                - tr(a)tr(b)tr(c) - tr(abc)
+  inverse removal   tr(u g')  = t_g tr(u) - tr(u g)
+  square removal    tr(u g g) = t_g tr(u g) - tr(u)
+  anticommutation   x y = -y x + t_y x + t_x y + t_yx - t_x t_y,
+                    inside tr(u x y) at the first descent x > y
 
-Each recursive call strictly decreases (length, inverse letters, order
-inversions) lexicographically, so the rewriting terminates; a defensive
-step budget turns any violation into an error instead of a hang.
+A strictly increasing key is the variable t_S.  Each recursive call
+strictly decreases the length, else the number of inverse letters, else
+the key in lexicographic order (y x comes before x y), so the rewriting
+terminates; a defensive step budget turns any violation into an error
+instead of a hang.
 
-For rank >= 3 a trace has many polynomial representatives (t123 is a root
-of a quadratic over the other six); rewriting the canonical form of the
-word's class under rotation and inversion fixes one, whatever the history.
+Every coefficient is a monomial in the t_i and t_ij, so each term holds at
+most one t_S with |S| >= 3.  At rank 3 that makes the result the unique
+polynomial of degree <= 1 in t123 (t123 is a root of a quadratic over the
+other six); at rank >= 4 the canonical key fixes it, whatever the history.
 A monomial is one int: variable k, numbered on first use, has its exponent
 in bits [W*k, W*(k+1)), so monomials multiply by adding.
 """
@@ -49,7 +52,12 @@ _VAR_BIT: Dict[VarKey, int] = {}  # variable -> its monomial, in numbering order
 
 
 def _var(s: VarKey) -> int:
-    return _VAR_BIT.setdefault(s, 1 << (_W * len(_VAR_BIT)))
+    bit = _VAR_BIT.get(s)
+    if bit is None:  # first use: the one check every key passes
+        if not s or s[0] < 1 or not all(a < b for a, b in zip(s, s[1:])):
+            raise ValidationError(f"variable index must be increasing and >= 1: {s}")
+        bit = _VAR_BIT[s] = 1 << (_W * len(_VAR_BIT))
+    return bit
 
 
 def _decode(mono: int) -> Monomial:
@@ -69,16 +77,6 @@ def _add_into(acc: Packed, p: Packed, c: int = 1, shift: int = 0) -> None:
 
 def _clean(acc: Packed) -> Packed:
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
-
-
-def _mul(p: Packed, q: Packed) -> Packed:
-    """The one product, in a fresh dict: shifted, scaled copies of p."""
-    if len(p) < len(q):
-        p, q = q, p  # one copy per term of the shorter factor
-    acc: Packed = {}
-    for shift, c in q.items():
-        _add_into(acc, p, c, shift)
-    return _clean(acc)
 
 
 def _var_order(s: VarKey) -> Tuple[int, VarKey]:
@@ -114,8 +112,6 @@ class TracePolynomial:
 
     @classmethod
     def variable(cls, s: VarKey) -> "TracePolynomial":
-        if not all(a < b for a, b in zip(s, s[1:])):
-            raise ValidationError(f"variable index must be increasing: {s}")
         return cls._of({_var(s): 1})
 
     def terms(self) -> Dict[Monomial, int]:
@@ -154,7 +150,13 @@ class TracePolynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        out = _mul(self._terms, _as_poly(other)._terms)
+        p, q = self._terms, _as_poly(other)._terms
+        if len(p) < len(q):
+            p, q = q, p  # one shifted, scaled copy per term of the shorter
+        out: Packed = {}
+        for shift, c in q.items():
+            _add_into(out, p, c, shift)
+        out = _clean(out)
         guard = sum(_VAR_BIT.values()) << (_W - 1)  # each field's top bit
         if any(m & guard for m in out):
             raise CapExceededError(f"an exponent reached {_EXP_LIMIT}")
@@ -262,48 +264,37 @@ def _reduce(letters: Tuple[int, ...], budget: List[int]) -> Packed:
     budget[0] -= 1
     if budget[0] < 0:
         raise ReductionCapExceededError("trace rewriting exceeded its step budget")
-    m = len(letters)
+    m, poly = len(letters), {}
 
     neg = next((i for i, x in enumerate(letters) if x < 0), None)
     if neg is not None:
-        # tr(u g') = tr(u) tr(g) - tr(u g), rotated so g' sits last
-        u = letters[neg + 1:] + letters[:neg]
-        g = -letters[neg]
-        poly = _mul(_reduce(u, budget), {_var((g,)): 1})
+        # tr(u g') = t_g tr(u) - tr(u g), rotated so g' sits last
+        u, g = letters[neg + 1:] + letters[:neg], -letters[neg]
+        _add_into(poly, _reduce(u, budget), 1, _var((g,)))
         _add_into(poly, _reduce(u + (g,), budget), -1)
     else:
         # the key starts a run of its least letter, so a square never wraps
         adj = next((i for i in range(m - 1) if letters[i] == letters[i + 1]), None)
         if adj is not None:
-            # tr(u g g) = tr(u g) tr(g) - tr(u)
-            g = letters[adj]
-            u = letters[adj + 2:] + letters[:adj]
-            poly = _mul(_reduce(u + (g,), budget), {_var((g,)): 1})
+            # tr(u g g) = t_g tr(u g) - tr(u)
+            u, g = letters[adj + 2:] + letters[:adj], letters[adj]
+            _add_into(poly, _reduce(u + (g,), budget), 1, _var((g,)))
             _add_into(poly, _reduce(u, budget), -1)
-        elif len(set(letters)) < m:
-            # repeated letter: split at its two occurrences,
-            # tr(x y) = tr(x) tr(y) - tr(x y')
-            g = min(x for x in letters if letters.count(x) > 1)
-            i0 = letters.index(g)
-            rot = letters[i0:] + letters[:i0]
-            j = rot.index(g, 1)
-            x, y = rot[:j], rot[j:]
-            y_inv = tuple(-t for t in reversed(y))
-            poly = _mul(_reduce(x, budget), _reduce(y, budget))
-            _add_into(poly, _reduce(x + y_inv, budget), -1)
         elif all(a < b for a, b in zip(letters, letters[1:])):
             # the key starts at its least letter, so it is the variable
-            poly = {_var(letters): 1}
+            poly[_var(letters)] = 1
         else:
-            # reorder one adjacent descent with the triple identity
+            # x y = -y x + t_y x + t_x y + t_yx - t_x t_y inside tr(u x y),
+            # at the first descent x > y
             i = next(k for k in range(1, m - 1) if letters[k] > letters[k + 1])
-            head, x, y, tail = letters[:i], letters[i], letters[i + 1], letters[i + 2:]
-            a = tail + head
+            u, x, y = letters[i + 2:] + letters[:i], letters[i], letters[i + 1]
             t_x, t_y = _var((x,)), _var((y,))
-            poly = _mul(_reduce(a, budget), {_var((y, x)): 1, t_x + t_y: -1})
-            _add_into(poly, _reduce(a + (x,), budget), 1, t_y)
-            _add_into(poly, _reduce(a + (y,), budget), 1, t_x)
-            _add_into(poly, _reduce(a + (y, x), budget), -1)
+            _add_into(poly, _reduce(u + (y, x), budget), -1)
+            _add_into(poly, _reduce(u + (x,), budget), 1, t_y)
+            _add_into(poly, _reduce(u + (y,), budget), 1, t_x)
+            rest = _reduce(u, budget)
+            _add_into(poly, rest, 1, _var((y, x)))
+            _add_into(poly, rest, -1, t_x + t_y)
     poly = _MEMO[letters] = _clean(poly)
     return poly
 
@@ -315,8 +306,9 @@ def trace_polynomial(
 
     Exact for every determinant-1 assignment of the rank generators;
     the identity is checked numerically in the test suite rather than
-    assumed from the rewriting rules.  For rank >= 3 the result is one
-    fixed representative modulo the relations among the traces.
+    assumed from the rewriting rules.  At rank 3 the result is linear in
+    t123; at rank >= 4 it is one fixed representative modulo the
+    relations among the traces.
     """
     if rank < 1:
         raise ValidationError("rank must be >= 1")

@@ -339,3 +339,54 @@ class TuplePoly:
             sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
             out += sign + body
         return out or "0"
+
+
+def ch_trace(letters, rank):
+    """tr(w) by a Cayley-Hamilton pass, as a TuplePoly in the t_S.
+
+    The algebra of rank generic SL2 matrices is spanned over the trace
+    ring by the 2^rank increasing products x_S.  The word is multiplied
+    onto 1 from its right end, one letter at a time, by
+      x_j^2 = t_j x_j - 1,
+      x_j x_i = -x_i x_j + t_i x_j + t_j x_i + t_ij - t_i t_j  (i < j),
+      x_j' = t_j - x_j,
+    and tr x_S = t_S, tr 1 = 2 close the pass.  No coefficient of x_j x_S
+    holds a t_T with |T| >= 3, so at rank 3 the result is linear in t123.
+    """
+    assert all(1 <= abs(x) <= rank for x in letters)
+
+    def const(c):
+        return TuplePoly({(): c})
+
+    def t(*s):
+        return TuplePoly({(tuple(sorted(s)),): 1})
+
+    def add(acc, s, c):
+        acc[s] = acc.get(s, const(0)) + c
+
+    def times(j, s):
+        """x_j x_S as {T: coefficient}."""
+        if not s or j < s[0]:
+            return {(j,) + s: const(1)}
+        i, rest = s[0], s[1:]
+        if j == i:
+            return {s: t(j), rest: const(-1)}
+        out = {s: t(j), rest: t(i, j) - t(i) * t(j)}
+        for u, c in times(j, rest).items():
+            add(out, (i,) + u, c * const(-1))  # every index of u exceeds i
+            add(out, u, c * t(i))
+        return out
+
+    elem = {(): const(1)}
+    for x in reversed(letters):
+        j, sign, step = abs(x), (1 if x > 0 else -1), {}
+        for s, c in elem.items():
+            if x < 0:
+                add(step, s, c * t(j))
+            for u, d in times(j, s).items():
+                add(step, u, c * d * const(sign))
+        elem = step
+    total = const(0)
+    for s, c in elem.items():
+        total = total + c * (t(*s) if s else const(2))
+    return total

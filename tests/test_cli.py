@@ -465,6 +465,16 @@ def test_rank3_trace_text_is_the_same_for_a_word_and_its_inverse():
         assert proc.stdout == "t1 - t2*t12 - t3*t13 + t12*t13*t123\n"
 
 
+def test_rank3_trace_text_is_linear_in_t123():
+    # tr((abc)^2) = t123^2 - 2, written in the normal form linear in t123
+    proc = run_module("sl2trees", "trace-poly", "--rank", "3", "a b c a b c")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "-t1^2 - t2^2 - t3^2 - t12^2 - t13^2 - t23^2 + t1*t2*t12 + t1*t3*t13"
+        " + t1*t23*t123 + t2*t3*t23 + t2*t13*t123 + t3*t12*t123 - t12*t13*t23"
+        " - t1*t2*t3*t123 + 2\n")
+
+
 def test_too_deep_trace_rewrite_fails_cleanly():
     proc = run_module("sl2trees", "trace-poly", "--rank", "1", "a^1200")
     assert proc.returncode == 1 and proc.stdout == ""

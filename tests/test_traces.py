@@ -28,7 +28,7 @@ from sl2trees import (
 )
 from sl2trees import traces
 
-from _oracles import TuplePoly
+from _oracles import TuplePoly, ch_trace
 from conftest import random_integral_sl2, random_sl2
 from test_words import random_letters
 
@@ -49,6 +49,12 @@ def test_variable_order_and_names():
     assert variable_name((1,)) == "t1"
     assert variable_name((1, 2)) == "t12"
     assert variable_name((1, 2, 3)) == "t123"
+    # keys naming no fundamental trace, refused on both construction paths
+    for bad in ((), (0,), (-1, 2)):
+        with pytest.raises(ValidationError):
+            TracePolynomial.variable(bad)
+        with pytest.raises(ValidationError):
+            TracePolynomial({(bad,): 1})
 
 
 def test_poly_text_frozen():
@@ -176,11 +182,14 @@ def test_rank2_text_frozen():
 
 
 # sha256 of the texts of 216 seeded rank-2 to rank-4 words (lengths 1-12),
-# one per line, frozen from the text() that decoded each monomial into a
-# tuple of factors per sort key; 123 of them hold a power, 73 a coefficient
-# other than 1
-RANK_2_TO_4_SHA256 = (
-    "6963c91f36ab7a2f8e02ebe878c1ffbf8db030d92839ac0396f4d89def94ede9")
+# one per line, split by rank.  The 72 rank-2 texts keep the digest of the
+# five-identity rewriter, since Z[t1, t2, t12] is free.  The 144 rank-3 and
+# rank-4 texts were frozen from the three linear identities: 3 rank-3 texts
+# (now linear in t123) and 17 rank-4 texts differ from that rewriter's.
+RANK_2_SHA256 = (
+    "df3038aa576b44f3f1a6b74d914221690d8b6383da9815c4346740e1b86332ff")
+RANK_3_TO_4_SHA256 = (
+    "95f3e7734f247240402756e741e5f955f128184f43816f6c17c0c6e7c90ed684")
 
 
 def test_rank_2_to_4_text_frozen():
@@ -188,8 +197,24 @@ def test_rank_2_to_4_text_frozen():
     corpus = [(Word(random_letters(rng, rank, length)), rank)
               for rank in (2, 3, 4) for length in range(1, 13) for _ in range(6)]
     texts = [trace_polynomial(w, rank).text() for w, rank in corpus]
-    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    assert digest == RANK_2_TO_4_SHA256
+    # the corpus lists its 72 rank-2 words first
+    assert hashlib.sha256("\n".join(texts[:72]).encode()).hexdigest() == RANK_2_SHA256
+    assert hashlib.sha256("\n".join(texts[72:]).encode()).hexdigest() == (
+        RANK_3_TO_4_SHA256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_text_matches_cayley_hamilton_oracle(data):
+    # Z[t1, t2, t12] is free and at rank 3 the text is linear in t123, so
+    # up to rank 3 the text is the unique polynomial the oracle computes
+    rank = data.draw(st.integers(1, 3))
+    letters = data.draw(st.lists(
+        st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)]),
+        max_size=10))
+    text = trace_polynomial(Word(tuple(letters)), rank).text()
+    assert text == ch_trace(letters, rank).text()
+    assert "t123^" not in text
 
 
 @settings(max_examples=40, deadline=None)
