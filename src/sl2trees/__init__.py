@@ -12,7 +12,6 @@ from .errors import (
     NotHyperbolicError,
     PreconditionNotMetError,
     PrimeNotPrimeError,
-    ReductionCapExceededError,
     SaturationCapExceededError,
     SingularMatrixError,
     Sl2TreesError,

@@ -101,14 +101,17 @@ class Representation:
 
 
 def is_bounded(rep: Representation) -> Tuple[bool, Optional[Word]]:
-    """Bounded iff every fundamental trace is locally integral.
+    """Bounded iff every generator and every product of two is elliptic,
+    that is, has a locally integral trace (Serre, Trees, I.6.5, Cor. 2).
 
-    An unbounded representation returns the first increasing product
-    word whose trace (A + D) / den has v(A + D) < v(den) as a witness.
+    An unbounded representation returns as its witness the first of these
+    words in subset_keys order whose trace (A + D) / den has
+    v(A + D) < v(den): the first of all increasing products, since
+    subset_keys lists the longer ones after them.
     """
     table, v = rep._letters, rep.context.valuation
     images = {(): IDENTITY}
-    for s in subset_keys(rep.presentation.rank):
+    for s in subset_keys(rep.presentation.rank, 2):
         images[s] = a, _, _, d, den = checked(scaled_mul(images[s[:-1]], table[s[-1]]))
         if v(a + d) < v(den):
             return False, Word(s)

@@ -57,10 +57,6 @@ class IterationCapError(Sl2TreesError):
     """An iterative procedure failed to converge within its budget."""
 
 
-class ReductionCapExceededError(Sl2TreesError):
-    """The trace rewriter exceeded its step budget."""
-
-
 class NotEllipticError(Sl2TreesError):
     """Fixed points exist only for elements with translation length 0."""
 

@@ -1,43 +1,26 @@
 """Trace coordinates: every word trace as an integer polynomial.
 
-For determinant-1 matrices the trace of any word in n generators is an
-integer polynomial in the 2^n - 1 fundamental traces t_S, one for each
-strictly increasing product of distinct generators.  The rewriter below
-takes the canonical form of the word's class under rotation and
-inversion, and rewrites it by three identities, each linear with a
-monomial coefficient:
-
-  inverse removal   tr(u g')  = t_g tr(u) - tr(u g)
-  square removal    tr(u g g) = t_g tr(u g) - tr(u)
-  anticommutation   x y = -y x + t_y x + t_x y + t_yx - t_x t_y,
-                    inside tr(u x y) at the first descent x > y
-
-A strictly increasing key is the variable t_S.  Each recursive call
-strictly decreases the length, else the number of inverse letters, else
-the key in lexicographic order (y x comes before x y), so the rewriting
-terminates; a defensive step budget turns any violation into an error
-instead of a hang.
-
-Every coefficient is a monomial in the t_i and t_ij, so each term holds at
-most one t_S with |S| >= 3.  At rank 3 that makes the result the unique
-polynomial of degree <= 1 in t123 (t123 is a root of a quadratic over the
-other six); at rank >= 4 the canonical key fixes it, whatever the history.
-A monomial is one int: variable k, numbered on first use, has its exponent
-in bits [W*k, W*(k+1)), so monomials multiply by adding.
+The trace of a word in n determinant-1 generators is an integer polynomial
+in the fundamental traces t_S of the 2^n - 1 increasing products x_S
+(Procesi 1976, Horowitz 1972).  tr(w) is one right-to-left pass over the
+word's canonical key in the span of 1 and the x_S over the trace ring, by
+x_j' = t_j - x_j, x_j x_j = t_j x_j - 1 and, for i < j,
+x_j x_i = -x_i x_j + t_i x_j + t_j x_i + t_ij - t_i t_j; tr x_S = t_S and
+tr 1 = 2 close it.  No coefficient holds a t_S with |S| >= 3, so at rank 3
+the result is the unique polynomial of degree <= 1 in t123; at rank >= 4
+the key fixes it.  Caches never change an output, and a term budget per
+call bounds time and memory whatever ran before.  A monomial is one int:
+variable k, numbered on first use, has its exponent in bits
+[W*k, W*(k+1)), so monomials multiply by adding.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    CapExceededError,
-    ReductionCapExceededError,
-    UnknownGeneratorError,
-    ValidationError,
-)
+from .errors import CapExceededError, UnknownGeneratorError, ValidationError
 from .matrices import IDENTITY, SL2Matrix, letter_table, scaled_mul
 from .words import Word, _cyclic_reduce_letters
 
@@ -226,12 +209,18 @@ def _as_poly(x) -> TracePolynomial:
     raise TypeError(f"cannot combine TracePolynomial with {x!r}")
 
 
-# -- the rewriter --------------------------------------------------------
+# -- the trace pass ------------------------------------------------------
 
-_TWO: Packed = {0: 2}
-_MEMO: Dict[Tuple[int, ...], Packed] = {}
+TERM_BUDGET = 2_000_000  # terms one call may write or read
 
-DEFAULT_STEP_BUDGET = 200_000
+# An element is one dict: x^m x_S is the key (m << B) | S, B the largest
+# letter, so x_S -> c x^shift x_T adds the delta (shift << B) + T - S.  A
+# table (B, letters) maps S to the deltas of letters * x_S and the cost of
+# their build, charged again on every read; letter 0 is the trace.
+Table = Tuple[int, Tuple[int, ...]]
+_TABLES: Dict[Table, Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]]] = {}
+_WORDS: Dict[Tuple[int, ...], Packed] = {}  # canonical key -> its trace
+_HELD, _HOLD_LIMIT = [0], 1 << 20  # terms in both caches, emptied past the limit
 
 
 def _canonical_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -253,75 +242,85 @@ def _canonical_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
     return best or candidates[0]
 
 
-def _reduce(letters: Tuple[int, ...], budget: List[int]) -> Packed:
-    letters = _cyclic_reduce_letters(letters)
-    if len(letters) < 2:
-        return {_var((abs(letters[0]),)): 1} if letters else _TWO
-    letters = _canonical_key(letters)
-    hit = _MEMO.get(letters)
-    if hit is not None:
-        return hit
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise ReductionCapExceededError("trace rewriting exceeded its step budget")
-    m, poly = len(letters), {}
-
-    neg = next((i for i, x in enumerate(letters) if x < 0), None)
-    if neg is not None:
-        # tr(u g') = t_g tr(u) - tr(u g), rotated so g' sits last
-        u, g = letters[neg + 1:] + letters[:neg], -letters[neg]
-        _add_into(poly, _reduce(u, budget), 1, _var((g,)))
-        _add_into(poly, _reduce(u + (g,), budget), -1)
-    else:
-        # the key starts a run of its least letter, so a square never wraps
-        adj = next((i for i in range(m - 1) if letters[i] == letters[i + 1]), None)
-        if adj is not None:
-            # tr(u g g) = t_g tr(u g) - tr(u)
-            u, g = letters[adj + 2:] + letters[:adj], letters[adj]
-            _add_into(poly, _reduce(u + (g,), budget), 1, _var((g,)))
-            _add_into(poly, _reduce(u, budget), -1)
-        elif all(a < b for a, b in zip(letters, letters[1:])):
-            # the key starts at its least letter, so it is the variable
-            poly[_var(letters)] = 1
+def _apply(state: Packed, table: Table, budget: List[int]) -> Packed:
+    """Each term of the state times its entry.  A term charges the entry's
+    length, plus its cost on a hit; a miss charges the build instead."""
+    (b, letters), entries = table, _TABLES.setdefault(table, {})
+    mask, new, left = (1 << b) - 1, {}, budget[0]
+    get = new.get
+    for key, v in state.items():
+        s = key & mask
+        hit = entries.get(s)
+        if hit is None:
+            budget[0] = left
+            if len(letters) > 1:  # (u x) x_S = u (x x_S)
+                out = _apply(_apply({s: 1}, (b, letters[-1:]), budget),
+                             (b, letters[:-1]), budget)
+            elif letters[0]:
+                out = _row(b, letters[0], s, budget)
+            else:  # tr x_S = t_S, tr 1 = 2
+                out = {_var(tuple(i + 1 for i in range(b) if s >> i & 1)) << b: 1} if s else {0: 2}
+            hit = entries[s] = tuple((k - s, c) for k, c in out.items() if c), left - budget[0]
+            _HELD[0] += len(hit[0])
+            left = budget[0]
         else:
-            # x y = -y x + t_y x + t_x y + t_yx - t_x t_y inside tr(u x y),
-            # at the first descent x > y
-            i = next(k for k in range(1, m - 1) if letters[k] > letters[k + 1])
-            u, x, y = letters[i + 2:] + letters[:i], letters[i], letters[i + 1]
-            t_x, t_y = _var((x,)), _var((y,))
-            _add_into(poly, _reduce(u + (y, x), budget), -1)
-            _add_into(poly, _reduce(u + (x,), budget), 1, t_y)
-            _add_into(poly, _reduce(u + (y,), budget), 1, t_x)
-            rest = _reduce(u, budget)
-            _add_into(poly, rest, 1, _var((y, x)))
-            _add_into(poly, rest, -1, t_x + t_y)
-    poly = _MEMO[letters] = _clean(poly)
-    return poly
+            left -= hit[1]
+        left -= len(hit[0])
+        if left < 0:
+            raise CapExceededError(f"the trace pass needs more than {TERM_BUDGET} terms")
+        for d, c in hit[0]:
+            d += key
+            new[d] = get(d, 0) + c * v
+    budget[0] = left
+    return _clean(new)
 
 
-def trace_polynomial(
-    w: Word, rank: int, max_steps: int = DEFAULT_STEP_BUDGET
-) -> TracePolynomial:
-    """The trace of w as a polynomial in the fundamental traces.
+def _row(b: int, x: int, s: int, budget: List[int]) -> Packed:
+    """x x_S, the anticommutation written as x_j x_i = t_ij - x_i' x_j'."""
+    j = abs(x)
+    bit, low, t_j = 1 << (j - 1), s & -s, _var((j,)) << b
+    if x < 0:  # x_j' = t_j - x_j
+        out, one = _apply({s: -1}, (b, (j,)), budget), t_j | s
+    elif not s or bit < low:
+        return {s | bit: 1}
+    elif bit == low:  # x_j^2 = t_j x_j - 1
+        return {t_j | s: 1, s ^ bit: -1}
+    else:  # every index of x_j' x_rest exceeds i
+        i, rest = low.bit_length(), s ^ low
+        out = _apply(_apply({rest: -1}, (b, (-j,)), budget), (b, (-i,)), budget)
+        one = (_var((i, j)) << b) | rest
+    out[one] = out.get(one, 0) + 1
+    return out
 
-    Exact for every determinant-1 assignment of the rank generators;
-    the identity is checked numerically in the test suite rather than
-    assumed from the rewriting rules.  At rank 3 the result is linear in
-    t123; at rank >= 4 it is one fixed representative modulo the
-    relations among the traces.
-    """
+
+def trace_polynomial(w: Word, rank: int) -> TracePolynomial:
+    """The trace of w in the fundamental traces, exact for every
+    determinant-1 assignment; CapExceededError past TERM_BUDGET terms."""
     if rank < 1:
         raise ValidationError("rank must be >= 1")
     for x in w.letters:
         if abs(x) > rank:
             raise UnknownGeneratorError(f"letter {x} outside rank {rank}")
     if len(w.letters) >= _EXP_LIMIT:
-        raise ReductionCapExceededError(
-            f"words of {_EXP_LIMIT} letters or more are not rewritten")
-    try:
-        return TracePolynomial._of(_reduce(tuple(w.letters), [max_steps]))
-    except RecursionError:
-        raise ReductionCapExceededError("trace rewriting nested too deeply") from None
+        raise CapExceededError(f"words of {_EXP_LIMIT} letters or more are not traced")
+    letters = _cyclic_reduce_letters(w.letters)
+    if not letters:
+        return TracePolynomial.constant(2)
+    key = _canonical_key(letters)
+    poly = _WORDS.get(key)
+    if poly is None:
+        if _HELD[0] > _HOLD_LIMIT:
+            _TABLES.clear(), _WORDS.clear()
+            _HELD[0] = 0
+        # the last two letters are one entry, the first three a functional
+        b, budget, head = max(map(abs, key)), [TERM_BUDGET], key[:max(0, len(key) - 2)][:3]
+        state = _apply({0: 1}, (b, key[-2:]), budget)
+        for x in reversed(key[len(head):-2]):
+            state = _apply(state, (b, (x,)), budget)
+        state = _apply(state, (b, (0,) + head), budget)
+        poly = _WORDS[key] = {k >> b: c for k, c in state.items()}
+        _HELD[0] += len(poly)
+    return TracePolynomial._of(poly)
 
 
 @dataclass(frozen=True)
@@ -344,12 +343,11 @@ class FundamentalTraceVector:
         return iter(self.ordered())
 
 
-def subset_keys(rank: int) -> List[VarKey]:
-    """All 2^n - 1 variable indices, shortest first, then lexicographic."""
-    out: List[VarKey] = []
-    for k in range(1, rank + 1):
-        out.extend(itertools.combinations(range(1, rank + 1), k))
-    return out
+def subset_keys(rank: int, largest: Optional[int] = None) -> List[VarKey]:
+    """The variable indices of at most `largest` generators (default all,
+    2^n - 1 of them), shortest first, then lexicographic."""
+    size = rank if largest is None else min(largest, rank)
+    return [s for k in range(1, size + 1) for s in itertools.combinations(range(1, rank + 1), k)]
 
 
 def fundamental_traces(matrices: Sequence[SL2Matrix]) -> FundamentalTraceVector:

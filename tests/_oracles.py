@@ -149,6 +149,21 @@ def inv2(m):
     return ((d / det, -b / det), (-c / det, a / det))
 
 
+def bounded_by_all_subsets(rows, p):
+    """Boundedness by the trace of every increasing product of distinct
+    generators (rows of Fractions), shortest first, then lexicographic:
+    (True, None), or (False, the first product whose trace has negative
+    valuation)."""
+    for k in range(1, len(rows) + 1):
+        for s in itertools.combinations(range(1, len(rows) + 1), k):
+            m = rows[s[0] - 1]
+            for i in s[1:]:
+                m = mul2(m, rows[i - 1])
+            if val_fraction(m[0][0] + m[1][1], p) < 0:
+                return False, s
+    return True, None
+
+
 def vertex_basis(v):
     """Upper-triangular lattice basis [[p^n, c], [0, 1]] of a TreeVertex."""
     return ((Fraction(v.context.p) ** v.level, v.center), (Fraction(0), Fraction(1)))

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
@@ -30,7 +31,7 @@ from sl2trees import (
     parse_word,
 )
 
-from _oracles import saturated_lattice, val_fraction
+from _oracles import bounded_by_all_subsets, saturated_lattice, val_fraction
 from conftest import (
     diag_rep,
     free2_rep,
@@ -215,6 +216,22 @@ def test_boundedness_triad_random():
             assert rep.trace(witness).valuation() < 0
             with pytest.raises(NotBoundedError):
                 fixed_lattice_certificate(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 4), p=st.sampled_from([2, 3, 5]),
+       seed=st.integers(0, 2**32), integral=st.booleans())
+def test_is_bounded_matches_the_full_subset_scan(rank, p, seed, integral):
+    # Serre, Trees, I.6.5, Cor. 2: the generators and their pairwise
+    # products decide boundedness, so the longer products add no witness
+    rng, ctx = random.Random(seed), PrimeContext(p)
+    mats = [random_integral_sl2(rng, ctx) if integral else random_sl2(rng, ctx, steps=2)
+            for _ in range(rank)]
+    rep = Representation(Presentation.free(rank), dict(zip("abcd", mats)))
+    rep = rep.conjugated_by(random_sl2(rng, ctx, steps=2))
+    flag, witness = is_bounded(rep)
+    rows = [((m.a, m.b), (m.c, m.d)) for m in rep.matrices]
+    assert (flag, witness and witness.letters) == bounded_by_all_subsets(rows, p)
 
 
 # -- reducibility and the algebra ----------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -475,11 +476,38 @@ def test_rank3_trace_text_is_linear_in_t123():
         " - t1*t2*t3*t123 + 2\n")
 
 
-def test_too_deep_trace_rewrite_fails_cleanly():
+def test_long_power_trace_succeeds_in_a_fresh_process():
+    # 2 T_1200(t1 / 2): the even powers of t1 up to 1200, so 601 terms
     proc = run_module("sl2trees", "trace-poly", "--rank", "1", "a^1200")
+    assert proc.returncode == 0 and proc.stderr == ""
+    text = proc.stdout.strip()
+    assert text.startswith("-360000*t1^2 + ") and text.endswith(" + t1^1200 + 2")
+    assert 1 + text.count(" + ") + text.count(" - ") == 601
+
+
+def _two_gigabytes():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+
+
+# words whose pass would need far more than the term budget: each is refused
+# in a fresh process under a 2 GB address-space limit
+OVERSIZED_TRACES = [
+    ("8", "(h g f e d c b a)^2"),
+    ("12", "b^-804 b^12 a^-804"),
+    ("2", "(a b')^200"),
+]
+
+
+@pytest.mark.parametrize("rank, word", OVERSIZED_TRACES)
+def test_oversized_trace_is_refused_cleanly(rank, word):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2trees.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2trees", "trace-poly", "--rank", rank, word],
+        capture_output=True, text=True, timeout=60, preexec_fn=_two_gigabytes,
+        env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_usage_errors_exit_two(capsys, rep_path):
@@ -547,9 +575,8 @@ def _argv(data, reps):
     if command == "length":
         return ["length", integral] + data.draw(st.lists(WORDS, min_size=1, max_size=2))
     if command == "trace-poly":
-        # one power: the rewriter's memory has no bound on a long word of
-        # two letters ("b^-804 b^12 a^-804" at rank 12 fills gigabytes)
-        return ["trace-poly", data.draw(POWERS), "--rank", data.draw(NUMBERS)]
+        word = data.draw(st.lists(POWERS, min_size=1, max_size=2).map(" ".join))
+        return ["trace-poly", word, "--rank", data.draw(NUMBERS)]
     if command == "axis":
         path, word = data.draw(st.one_of(
             st.tuples(st.just(integral), WORDS),
@@ -570,6 +597,9 @@ def _argv(data, reps):
 @example(argv=["tree", "distance", "--prime", "3", "(10000000; 1)", "(0; 0)"])
 @example(argv=["tree", "geodesic", "--prime", "3", "(9100; 0)", "(9100; -1)"])
 @example(argv=["tree", "ball", "--prime", "3", "--radius", "10000"])
+@example(argv=["trace-poly", "--rank", "8", "(h g f e d c b a)^2"])
+@example(argv=["trace-poly", "--rank", "12", "b^-804 b^12 a^-804"])
+@example(argv=["trace-poly", "--rank", "2", "(a b')^200"])
 @given(argv=st.data())
 def test_cli_fuzz_exits_cleanly(fuzz_reps, argv):
     if not isinstance(argv, list):

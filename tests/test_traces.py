@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -11,7 +14,6 @@ from sl2trees import (
     CapExceededError,
     PrimeContext,
     Presentation,
-    ReductionCapExceededError,
     SL2Matrix,
     TracePolynomial,
     UnknownGeneratorError,
@@ -34,6 +36,12 @@ from test_words import random_letters
 
 FREE2 = Presentation.free(2)
 CTX = PrimeContext(3)
+
+
+def empty_trace_caches():
+    traces._TABLES.clear()
+    traces._WORDS.clear()
+    traces._HELD[0] = 0
 
 
 def sl2z_matrices(ctx=CTX):
@@ -183,13 +191,16 @@ def test_rank2_text_frozen():
 
 # sha256 of the texts of 216 seeded rank-2 to rank-4 words (lengths 1-12),
 # one per line, split by rank.  The 72 rank-2 texts keep the digest of the
-# five-identity rewriter, since Z[t1, t2, t12] is free.  The 144 rank-3 and
-# rank-4 texts were frozen from the three linear identities: 3 rank-3 texts
-# (now linear in t123) and 17 rank-4 texts differ from that rewriter's.
+# five-identity rewriter, since Z[t1, t2, t12] is free, and the 72 rank-3
+# texts that of the three linear identities, since the text linear in t123
+# is unique.  The 72 rank-4 texts are the Cayley-Hamilton pass's over the
+# canonical key: 22 differ from the three identities'.
 RANK_2_SHA256 = (
     "df3038aa576b44f3f1a6b74d914221690d8b6383da9815c4346740e1b86332ff")
-RANK_3_TO_4_SHA256 = (
-    "95f3e7734f247240402756e741e5f955f128184f43816f6c17c0c6e7c90ed684")
+RANK_3_SHA256 = (
+    "e33b72f0f8f0f0bf5ca56d61dd82bfca539dd8a4f2e0b0cabf6baab6ff751310")
+RANK_4_SHA256 = (
+    "9a8ae5e13b8a5597b3f80f526c52704d9353407c5788f6ab208a5a2060348e98")
 
 
 def test_rank_2_to_4_text_frozen():
@@ -197,10 +208,10 @@ def test_rank_2_to_4_text_frozen():
     corpus = [(Word(random_letters(rng, rank, length)), rank)
               for rank in (2, 3, 4) for length in range(1, 13) for _ in range(6)]
     texts = [trace_polynomial(w, rank).text() for w, rank in corpus]
-    # the corpus lists its 72 rank-2 words first
-    assert hashlib.sha256("\n".join(texts[:72]).encode()).hexdigest() == RANK_2_SHA256
-    assert hashlib.sha256("\n".join(texts[72:]).encode()).hexdigest() == (
-        RANK_3_TO_4_SHA256)
+    # the corpus lists its 72 rank-2 words first, then rank 3, then rank 4
+    digests = [hashlib.sha256("\n".join(texts[k:k + 72]).encode()).hexdigest()
+               for k in (0, 72, 144)]
+    assert digests == [RANK_2_SHA256, RANK_3_SHA256, RANK_4_SHA256]
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,29 +228,61 @@ def test_text_matches_cayley_hamilton_oracle(data):
     assert "t123^" not in text
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_trace_text_independent_of_memo(data):
-    # for rank >= 3 the text is one representative; it must not depend on
-    # which word of the class reached the memo first
-    rank = data.draw(st.sampled_from([3, 4]))
-    letters = data.draw(st.lists(
-        st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)]),
-        min_size=2, max_size=10 if rank == 3 else 8))
-    w = cyclic_reduce(Word(tuple(letters)))
-    n = len(w.letters)
-    variants = [Word(w.letters[k:] + w.letters[:k]) for k in range(n)] + [w.inverse()]
-    texts = set()
-    for v in variants:
-        traces._MEMO.clear()
-        texts.add(trace_polynomial(v, rank).text())
-    for v in variants:
-        texts.add(trace_polynomial(v, rank).text())
-    assert len(texts) == 1
+def test_rank4_text_is_the_pass_over_the_canonical_key(data):
+    # at rank 4 the traces satisfy relations, so the text is the one the
+    # Cayley-Hamilton pass gives on the canonical key of the word's class
+    letters = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4]),
+                                 max_size=9))
+    reduced = cyclic_reduce(Word(tuple(letters))).letters
+    key = traces._canonical_key(reduced) if reduced else ()
+    assert trace_polynomial(Word(tuple(letters)), 4).text() == ch_trace(key, 4).text()
+
+
+# words whose texts one process prints in order, another in reverse: their
+# classes share keys, prefixes and suffixes, the rank-8 one is refused, and
+# a^1200 follows a^800 in one order only
+HISTORY_WORDS = [
+    ("a b c d a c", 4), ("c a b c d a", 4), ("c' a' d' c' b' a'", 4),
+    ("a b c d a b c d", 4), ("d c b a d c b a", 4), ("a b' c d' b c", 4),
+    ("(h g f e d c b a)^2", 8), ("a^800", 1), ("a^1200", 1), ("(a b')^20", 2),
+    ("a b c a b c", 3), ("c b a c b a", 3), ("b d a c b d", 4),
+]
+HISTORY_SCRIPT = """
+import sys
+from sl2trees import Presentation, Sl2TreesError, parse_word, trace_polynomial
+for line in sys.stdin.read().splitlines():
+    text, rank = line.rsplit(" ", 1)
+    try:
+        w = parse_word(text, Presentation.free(int(rank)))
+        print(trace_polynomial(w, int(rank)).text())
+    except Sl2TreesError as exc:
+        print("refused:", type(exc).__name__)
+"""
+
+
+def test_trace_text_independent_of_history():
+    # each order runs in a fresh process, so the caches start empty and
+    # each word meets the tables the other order left behind
+    src = os.path.dirname(os.path.dirname(os.path.abspath(traces.__file__)))
+    outputs = []
+    for words in (HISTORY_WORDS, HISTORY_WORDS[::-1]):
+        proc = subprocess.run(
+            [sys.executable, "-c", HISTORY_SCRIPT], capture_output=True, text=True,
+            input="".join(f"{text} {rank}\n" for text, rank in words),
+            timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0] == outputs[1][::-1]
+    assert outputs[0][6] == "refused: CapExceededError"
+    assert outputs[0].count("refused: CapExceededError") == 1
+    # rotations and the inverse of one class print one text
+    assert outputs[0][0] == outputs[0][1] == outputs[0][2]
 
 
 def test_deep_power_is_fast_and_exact():
-    traces._MEMO.clear()
+    empty_trace_caches()
     start = time.perf_counter()
     poly = trace_polynomial(Word((1,) * 800), 1)
     assert time.perf_counter() - start < 2
@@ -320,12 +363,52 @@ def test_rank_bound_enforced():
         trace_polynomial(Word((3,)), 2)
 
 
-def test_step_budget():
-    w = Word(tuple([1, 2, -1, 2, 1, -2, -1, -2] * 3))
-    with pytest.raises(ReductionCapExceededError):
-        trace_polynomial(w, 2, max_steps=3)
-    # the same word succeeds with the default budget
-    assert trace_polynomial(w, 2) is not None
+def test_term_budget(monkeypatch):
+    # the least budget a word passes with is the same whether the tables
+    # start empty or were filled by other words: reads charge build costs
+    w = parse_word("a b' a b a' b a b'", FREE2)
+
+    def passes(budget, warm):
+        empty_trace_caches()
+        if warm:
+            for other in ("a b a b' a b", "b a' b' a b' a b a"):
+                trace_polynomial(parse_word(other, FREE2), 2)
+            traces._WORDS.clear()
+        monkeypatch.setattr(traces, "TERM_BUDGET", budget)
+        try:
+            trace_polynomial(w, 2)
+        except CapExceededError:
+            return False
+        return True
+
+    least = next(b for b in range(1, 2000) if passes(b, warm=False))
+    assert least > 50
+    assert passes(least, warm=True) and not passes(least - 1, warm=True)
+    # the real budget refuses (a b')^200, 10201 terms, and caches nothing
+    monkeypatch.undo()
+    traces._WORDS.clear()
+    with pytest.raises(CapExceededError):
+        trace_polynomial(parse_word("(a b')^200", FREE2), 2)
+    assert not traces._WORDS
+
+
+def test_caches_are_emptied_past_their_limit(monkeypatch):
+    # the tables and the whole-word cache count the terms they hold and are
+    # emptied before a computing call once past the limit; no text changes
+    rng = random.Random(4406)
+    words = [Word(random_letters(rng, 3, rng.randint(6, 10))) for _ in range(40)]
+    expected = [trace_polynomial(w, 3).text() for w in words]
+    empty_trace_caches()
+    monkeypatch.setattr(traces, "_HOLD_LIMIT", 300)
+    held = []
+    for w, text in zip(words, expected):
+        assert trace_polynomial(w, 3).text() == text
+        held.append(traces._HELD[0])
+    assert any(after < before for before, after in zip(held, held[1:]))
+    assert all(after > before for before, after in zip(held, held[1:]) if before <= 300
+               and after != before)
+    assert held[-1] == sum(len(p) for p in traces._WORDS.values()) + sum(
+        len(entry[0]) for table in traces._TABLES.values() for entry in table.values())
 
 
 def test_memo_determinism():
