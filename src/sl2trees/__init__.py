@@ -4,7 +4,6 @@ from .errors import (
     CapExceededError,
     ContextMismatchError,
     DeterminantNotOneError,
-    IterationCapError,
     NegativeValuationError,
     NotBoundedError,
     NotDehnPresentationError,
@@ -12,7 +11,6 @@ from .errors import (
     NotHyperbolicError,
     PreconditionNotMetError,
     PrimeNotPrimeError,
-    SaturationCapExceededError,
     SingularMatrixError,
     Sl2TreesError,
     UnknownGeneratorError,
@@ -58,12 +56,9 @@ from .tree import (
 )
 from .tree import ball_vertex_count
 from .isometry import (
-    ELLIPTIC,
-    HYPERBOLIC,
     AxisSegment,
     EigenLines,
     axis_segment,
-    classify_isometry,
     fixed_vertex,
     rational_eigenlines,
     translation_length,

@@ -5,10 +5,11 @@ fixed lattice class or a short word whose trace has negative valuation;
 reducibility comes with an invariant projective line; irreducibility
 strength is measured by the dimension of the generated matrix algebra.
 Every step runs on the scaled letter table (A, B, C, D, den), with
-valuations in place of Fractions.  The fixed lattice class is checked as
-a vertex each generator fixes under tree.act, which is integrality of
-the generators conjugated by its basis: m L = p^j L forces j = 0 when
-det m = 1.
+valuations in place of Fractions.  The fixed lattice class is the fixed
+vertex nearest the standard lattice, one projection onto a fixed subtree
+per generator (Serre, Trees, I.6.4-6.5).  It is checked as a vertex each
+generator fixes under tree.act, which is integrality of the generators
+conjugated by its basis: m L = p^j L forces j = 0 when det m = 1.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from .errors import (
     ContextMismatchError,
     NotBoundedError,
     PreconditionNotMetError,
-    SaturationCapExceededError,
     ValidationError,
 )
-from .field import PrimeContext, ValuedRational, _val_fraction
-from .isometry import rational_eigenlines
+from .field import PrimeContext, ValuedRational
+from .isometry import _projection, rational_eigenlines
 from .matrices import (
     IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul)
 from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
-from .tree import TreeVertex, _center, act
+from .tree import TreeVertex, act
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
     check_size, scaled_image, sphere_sizes, word_to_text)
@@ -118,72 +118,35 @@ def is_bounded(rep: Representation) -> Tuple[bool, Optional[Word]]:
     return True, None
 
 
-# -- lattice saturation ---------------------------------------------------
-
-LatticeForm = Tuple[int, int, Fraction]  # basis [[p^alpha, y], [0, p^beta]]
+# -- the fixed lattice ---------------------------------------------------
 
 
-def _span(vectors: List[Tuple[int, int, int]], p: int) -> LatticeForm:
-    """Normal form of the local-integer span of rank-2 integer vectors
-    (x, y, k), meaning p^k (x, y).  The pivot p^k0 (x0, y0) has the least
-    v(y) + k, which is beta, and y = x0 p^beta / y0; the others' tops
-    cleared against it are p^k (x y0 - y x0) / y0, of least valuation alpha."""
-    val = lambda n: _val_fraction(n, p)  # noqa: E731
-    x0, y0, k0 = min((u for u in vectors if u[1]), key=lambda u: val(u[1]) + u[2])
-    beta = val(y0) + k0
-    alpha = min(k + val(x * y0 - y * x0) for x, y, k in vectors
-                if x * y0 != y * x0) - val(y0)
-    num, den = (x0 * p ** beta, y0) if beta >= 0 else (x0, y0 * p ** -beta)
-    return alpha, beta, _center(num, den, alpha, p)
+def fixed_lattice_certificate(rep: Representation) -> TreeVertex:
+    """The vertex fixed by the whole image nearest the standard lattice
+    (0; 0), certified under the action.
 
-
-def fixed_lattice_certificate(
-    rep: Representation, max_rounds: int = 64
-) -> TreeVertex:
-    """A vertex fixed by the whole image, certified under the action.
-
-    Saturates the standard lattice under the generators until stable;
-    each strict growth step lowers the covolume valuation, so a bounded
-    representation stabilizes quickly.  The resulting class is verified
-    by act(m, vertex) == vertex for every generator m.  That is the same
-    as m conjugated by the class basis being locally integral: m fixes
-    the class of L when m L = p^j L, and det m = 1 forces j = 0.
+    Starting at (0; 0), each generator m in turn projects the vertex x
+    onto its fixed subtree F(m): the midpoint of [x, m x].  A projection
+    of a vertex fixed by the earlier generators lies on its geodesic to
+    every vertex they and m all fix, and the image fixes some vertex, so
+    each projection is still fixed by the earlier generators and the last
+    is the fixed vertex nearest (0; 0).  That is the class of the saturation of
+    the standard lattice under the image.  The vertex is verified by
+    act(m, vertex) == vertex for every generator m: m conjugated by the
+    class basis is locally integral, since m fixes the class of L when
+    m L = p^j L, and det m = 1 forces j = 0.
     """
     bounded, _ = is_bounded(rep)
     if not bounded:
         raise NotBoundedError("unbounded representations fix no lattice class")
-    return _saturated_lattice(rep, max_rounds)
+    return _fixed_lattice(rep)
 
 
-def _saturated_lattice(rep: Representation, max_rounds: int) -> TreeVertex:
-    """fixed_lattice_certificate's work, for a rep known to be bounded.
-
-    The form's columns are p^alpha (1, 0) and p^j (y p^-j, p^(beta - j)),
-    integer pairs for y = r / p^e and j = min(beta, -e).  A generator
-    (A, B, C, D, den) takes p^k (x, y) to p^(k - v(den)) (A x + B y,
-    C x + D y) up to the prime-to-p part of den, a unit, which does not
-    change a span over the local integers."""
-    p = rep.context.p
-    gens = [(a, b, c, d, _val_fraction(den, p))
-            for a, b, c, d, den in rep._generators()]
-    form: LatticeForm = (0, 0, Fraction(0))
-    for _ in range(max_rounds):
-        alpha, beta, y = form
-        j = min(beta, -_val_fraction(y.denominator, p))
-        current = [(1, 0, alpha), (y.numerator * p ** -j // y.denominator,
-                                   p ** (beta - j), j)]
-        spanning = current + [(a * x + b * y, c * x + d * y, k - vd)
-                              for a, b, c, d, vd in gens for x, y, k in current]
-        grown = _span(spanning, p)
-        if grown == form:
-            break
-        form = grown
-    else:
-        raise SaturationCapExceededError(
-            f"lattice saturation still moving after {max_rounds} rounds"
-        )
-    alpha, beta, y = form  # the class of [[p^alpha, y], [0, p^beta]]
-    vertex = TreeVertex(alpha - beta, y / Fraction(p) ** beta, rep.context)
+def _fixed_lattice(rep: Representation) -> TreeVertex:
+    """fixed_lattice_certificate's work, for a rep known to be bounded."""
+    vertex = TreeVertex(0, 0, rep.context)
+    for m in rep.matrices:
+        vertex = _projection(m, vertex)
     if any(act(m, vertex) != vertex for m in rep.matrices):
         raise ValidationError("fixed-lattice certificate failed verification")
     return vertex
@@ -275,12 +238,10 @@ def _character_exponents(
                                            rep._generators()))
 
 
-def classify(
-    rep: Representation, max_saturation_rounds: int = 64
-) -> ClassificationReport:
+def classify(rep: Representation) -> ClassificationReport:
     """Full classification with certificates; every field is exact."""
     bounded, witness = is_bounded(rep)
-    fixed = _saturated_lattice(rep, max_saturation_rounds) if bounded else None
+    fixed = _fixed_lattice(rep) if bounded else None
     reducible, line = is_reducible_over_rationals(rep)
     dim = algebra_dimension(rep)
     completion: Optional[bool] = None

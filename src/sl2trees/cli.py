@@ -41,7 +41,7 @@ def _fmt_value(value) -> str:
 
 def cmd_classify(args) -> int:
     rep = load_representation(args.path)
-    report = classify(rep, max_saturation_rounds=args.max_iterations)
+    report = classify(rep)
     presentation = rep.presentation
     witness = (
         word_to_text(report.unbounded_witness, presentation)
@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a representation file"
     )
     p_classify.add_argument("path")
-    p_classify.add_argument(
-        "--max-iterations", type=int, default=64,
-        help="lattice saturation round cap",
-    )
     p_classify.set_defaults(func=cmd_classify)
 
     p_spectrum = sub.add_parser(

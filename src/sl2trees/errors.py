@@ -53,10 +53,6 @@ class CapExceededError(Sl2TreesError):
     """A configured size cap (nodes, words) would be exceeded."""
 
 
-class IterationCapError(Sl2TreesError):
-    """An iterative procedure failed to converge within its budget."""
-
-
 class NotEllipticError(Sl2TreesError):
     """Fixed points exist only for elements with translation length 0."""
 
@@ -67,10 +63,6 @@ class NotHyperbolicError(Sl2TreesError):
 
 class NotBoundedError(Sl2TreesError):
     """A fixed-lattice certificate requires a bounded representation."""
-
-
-class SaturationCapExceededError(Sl2TreesError):
-    """Lattice saturation did not stabilize within its round budget."""
 
 
 class PreconditionNotMetError(Sl2TreesError):

@@ -2,28 +2,24 @@
 
 The translation length of g on the lattice-class tree is read off the
 trace alone: -2 * min(0, v(tr g)).  Everything else here is exact
-combinatorial geometry around that fact; eigenvectors are never used
-for axis construction, only for detecting invariant projective lines.
+combinatorial geometry around that fact.  SL(2) acts without inversions,
+so d(x, gx) = l(g) + 2 d(x, Min g), where Min g is the fixed subtree of
+an elliptic g and the axis of a hyperbolic one (Serre, Trees, I.6.4-6.5):
+a fixed vertex and an axis vertex are each one projection, read off the
+geodesic [x, gx] without building it.  Eigenvectors are never used for
+axis construction, only for detecting invariant projective lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
-from .errors import (
-    IterationCapError,
-    NotEllipticError,
-    NotHyperbolicError,
-    ValidationError,
-)
+from .errors import NotEllipticError, NotHyperbolicError, ValidationError
 from .matrices import SL2Matrix
-from .tree import DEFAULT_NODE_CAP, TreeVertex, act, distance, geodesic
+from .tree import DEFAULT_NODE_CAP, TreeVertex, _toward, act, distance, geodesic
 from .words import check_size
-
-ELLIPTIC = "elliptic"
-HYPERBOLIC = "hyperbolic"
 
 
 def translation_length(g: SL2Matrix) -> int:
@@ -35,33 +31,20 @@ def translation_length(g: SL2Matrix) -> int:
     return 2 * max(0, v(den) - v(a + d))
 
 
-def classify_isometry(g: SL2Matrix) -> str:
-    return ELLIPTIC if translation_length(g) == 0 else HYPERBOLIC
+def _projection(g: SL2Matrix, x: TreeVertex, ell: int = 0) -> TreeVertex:
+    """The vertex of Min g nearest x, for g of translation length ell:
+    (d(x, gx) - ell) / 2 along [x, gx].  For elliptic g (ell = 0) it is
+    the midpoint of [x, gx]."""
+    image = act(g, x)
+    return _toward(x, image, (distance(x, image) - ell) // 2)
 
 
-def fixed_vertex(
-    g: SL2Matrix, max_iterations: Optional[int] = None
-) -> TreeVertex:
-    """A vertex fixed by an elliptic g, found by midpoint descent.
-
-    The displacement function of an elliptic isometry halves (at least)
-    at the midpoint of a vertex-to-image geodesic, so this converges
-    within the initial displacement; the cap is defensive.
-    """
+def fixed_vertex(g: SL2Matrix) -> TreeVertex:
+    """The vertex fixed by an elliptic g nearest (0; 0): the midpoint of
+    the geodesic from (0; 0) to its image."""
     if translation_length(g) != 0:
         raise NotEllipticError("no fixed vertex: translation length is positive")
-    x = TreeVertex(0, 0, g.context)
-    image = act(g, x)
-    d = distance(x, image)
-    budget = d // 2 + 4 if max_iterations is None else max_iterations
-    while d > 0:
-        if budget <= 0:
-            raise IterationCapError("fixed-point search exhausted its budget")
-        budget -= 1
-        x = geodesic(x, image)[d // 2]
-        image = act(g, x)
-        d = distance(x, image)
-    return x
+    return _projection(g, TreeVertex(0, 0, g.context))
 
 
 @dataclass(frozen=True)
@@ -90,12 +73,8 @@ def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
         raise ValidationError("window must be >= 1")
     steps = -(-window // 2)  # least k with 2k >= window
     check_size("axis segment", "vertices", DEFAULT_NODE_CAP, (2 * steps * ell + 1,))
-    base = TreeVertex(0, 0, g.context)
-    image = act(g, base)
-    d = distance(base, image)
-    gate = geodesic(base, image)[(d - ell) // 2]
+    start = _projection(g, TreeVertex(0, 0, g.context), ell)
     g_inv = g.inverse()
-    start = gate
     for _ in range(steps):
         start = act(g_inv, start)
     path = [start]

@@ -130,8 +130,11 @@ def _lowered(v: TreeVertex, bottom: int) -> List[TreeVertex]:
     by one running power of p."""
     p, ctx, c = v.context.p, v.context, v.center
     r, pe = c.numerator, c.denominator
-    top, power = 0, pe  # power = p^(top+e); top: least level with c < p^top
-    while power <= r:
+    # top: least level with c < p^top, found from min(0, v.level) as c is
+    # canonical (c < p^level); power = p^(top+e), exact when r > 0
+    top = min(0, v.level)
+    power = pe // p ** -top
+    while r and power <= r:
         top, power = top + 1, power * p
     while power // p > r:
         top, power = top - 1, power // p
@@ -153,6 +156,17 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     check_size("geodesic", "vertices", DEFAULT_NODE_CAP, (d + 1,))
     meet = (u.level + v.level - d) // 2
     return _lowered(u, meet) + _lowered(v, meet + 1)[::-1]
+
+
+def _toward(u: TreeVertex, v: TreeVertex, k: int) -> TreeVertex:
+    """The vertex at distance k from u on the geodesic [u, v], for
+    0 <= k <= d(u, v), without building the path.  The ancestor of
+    (n; c) at level j is (j; c): up to the meet it is u's ancestor
+    (u.level - k; u.center), past it v's ancestor at the matching level."""
+    meet = _meet_level(u, v)
+    if k <= u.level - meet:
+        return TreeVertex(u.level - k, u.center, u.context)
+    return TreeVertex(2 * meet - u.level + k, v.center, v.context)
 
 
 def _span_vertex(a: int, c: int, shift: int, b: int, d: int, vdet: int,

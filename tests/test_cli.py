@@ -511,8 +511,10 @@ def test_oversized_trace_is_refused_cleanly(rank, word):
 
 
 def test_usage_errors_exit_two(capsys, rep_path):
+    # classify has no round cap and takes no --max-iterations
     for argv in ([], ["frobnicate"], ["spectrum", rep_path],
-                 ["tree", "ball", "--radius", "1"]):
+                 ["tree", "ball", "--radius", "1"],
+                 ["classify", rep_path, "--max-iterations", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -567,8 +569,7 @@ def _argv(data, reps):
         ["classify", "spectrum", "length", "trace-poly",
          "ball", "distance", "geodesic", "axis"]))
     if command == "classify":
-        return ["classify", data.draw(st.sampled_from(reps)),
-                "--max-iterations", data.draw(NUMBERS)]
+        return ["classify", data.draw(st.sampled_from(reps))]
     if command == "spectrum":
         return ["spectrum", data.draw(st.sampled_from(reps)),
                 "--max-len", data.draw(NUMBERS), "--max-words", data.draw(SMALL_CAPS)]

@@ -3,10 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
-    ELLIPTIC,
-    HYPERBOLIC,
     CapExceededError,
     NotEllipticError,
     NotHyperbolicError,
@@ -15,7 +14,7 @@ from sl2trees import (
     TreeVertex,
     act,
     axis_segment,
-    classify_isometry,
+    classify,
     distance,
     fixed_vertex,
     is_padic_square,
@@ -23,8 +22,10 @@ from sl2trees import (
     translation_length,
 )
 
+from sl2trees.isometry import _projection
+
 from _oracles import eigenlines_fraction
-from conftest import random_integral_sl2, random_sl2
+from conftest import random_integral_sl2, random_sl2, sl2z_pair
 
 CTX = PrimeContext(3)
 
@@ -66,15 +67,6 @@ def test_translation_length_powers():
             assert translation_length(g ** k) == k * l
 
 
-def test_classify_isometry():
-    assert classify_isometry(diag(1)) == HYPERBOLIC
-    assert classify_isometry(SL2Matrix(((1, 1), (0, 1)), CTX)) == ELLIPTIC
-    rng = random.Random(3303)
-    for _ in range(60):
-        g = random_sl2(rng, CTX)
-        assert classify_isometry(g) == (ELLIPTIC if translation_length(g) == 0 else HYPERBOLIC)
-
-
 def test_displacement_lower_bound():
     # every vertex moves at least l(g); axis vertices move exactly l(g)
     rng = random.Random(3304)
@@ -110,6 +102,48 @@ def test_fixed_vertex_is_fixed():
             found_far += 1
     # the corpus must exercise fixed points away from the origin
     assert found_far > 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), rng=st.randoms(use_true_random=False))
+def test_projection_is_the_midpoint_to_the_fixed_subtree(p, rng):
+    # Serre, Trees, I.6.4-6.5: for elliptic g, d(x, gx) = 2 d(x, Fix g),
+    # so the midpoint of [x, gx] is the fixed vertex nearest x
+    ctx = PrimeContext(p)
+    sign = rng.choice((-1, 1))
+    shift = Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3))
+    g0 = rng.choice((
+        random_integral_sl2(rng, ctx),
+        SL2Matrix(((sign, 0), (0, sign)), ctx),
+        SL2Matrix(((sign, shift), (0, sign)), ctx),
+    ))
+    g = g0.conjugated_by(random_sl2(rng, ctx, steps=rng.randint(1, 6)))
+    x = TreeVertex(rng.randint(-6, 6),
+                   Fraction(rng.randint(-10**4, 10**4), p ** rng.randint(0, 6)), ctx)
+    y = _projection(g, x)
+    assert act(g, y) == y
+    assert distance(x, act(g, x)) == 2 * distance(x, y)
+
+
+def test_far_fixed_vertex_and_axis():
+    # one projection each, with no path built, so the geodesic cap does
+    # not apply: (0; 0) and its image are over 100000 vertices apart
+    ctx = PrimeContext(2)
+    h = SL2Matrix(((Fraction(2) ** 26000, 0), (0, Fraction(2) ** -26000)), ctx)
+    rep = sl2z_pair(ctx).conjugated_by(h)
+    lattice = classify(rep).fixed_lattice
+    assert lattice == act(h, TreeVertex(0, 0, ctx)) and lattice.level == 52000
+    assert fixed_vertex(rep.matrix("b")) == lattice
+    ctx = PrimeContext(3)
+    u = SL2Matrix(((1, Fraction(1, 3 ** 60000)), (0, 1)), ctx)
+    g = SL2Matrix(((3, 0), (0, Fraction(1, 3))), ctx).conjugated_by(u)
+    seg = axis_segment(g, 2)
+    assert seg.shift == 2
+    assert [v.level for v in seg.vertices] == list(range(-60002, -59997))
+    for a, b in zip(seg.vertices, seg.vertices[1:]):
+        assert distance(a, b) == 1
+    for v, w in zip(seg.vertices, seg.vertices[2:]):
+        assert act(g, v) == w
 
 
 def test_fixed_vertex_rejects_hyperbolic():
