@@ -4,7 +4,6 @@ from .errors import (
     CapExceededError,
     ContextMismatchError,
     DeterminantNotOneError,
-    NegativeValuationError,
     NotBoundedError,
     NotDehnPresentationError,
     NotEllipticError,
@@ -22,11 +21,7 @@ from .field import (
     INFINITY,
     PrimeContext,
     ValuedRational,
-    is_padic_square,
     is_prime,
-    loc_min,
-    residue,
-    valuation,
 )
 from .matrices import SL2Matrix
 from .words import (

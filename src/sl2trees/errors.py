@@ -21,10 +21,6 @@ class ZeroInputError(Sl2TreesError):
     """Zero was passed where a nonzero value is required."""
 
 
-class NegativeValuationError(Sl2TreesError):
-    """Residue requested for a value that is not locally integral."""
-
-
 class DeterminantNotOneError(Sl2TreesError):
     """Matrix entries do not satisfy a*d - b*c = 1 exactly."""
 

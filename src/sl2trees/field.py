@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    ContextMismatchError,
-    NegativeValuationError,
-    PrimeNotPrimeError,
-    ZeroInputError,
-)
+from .errors import ContextMismatchError, PrimeNotPrimeError, ZeroInputError
 
 INFINITY = math.inf
 
@@ -201,24 +196,6 @@ class ValuedRational:
     def valuation(self) -> Union[int, float]:
         return _val_fraction(self.value, self.context.p)
 
-    def loc_min(self) -> int:
-        v = self.valuation()
-        return 0 if v >= 0 else int(v)
-
-    def residue(self) -> int:
-        p = self.context.p
-        if self.valuation() < 0:
-            raise NegativeValuationError(
-                f"{self.value} is not integral at p={p}"
-            )
-        return self.numerator * pow(self.denominator, -1, p) % p
-
-    def is_integral(self) -> bool:
-        return self.valuation() >= 0
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
     def is_square(self) -> bool:
         """Whether the value is a square in the p-adic completion.
 
@@ -238,22 +215,3 @@ class ValuedRational:
         r = unit.numerator * pow(unit.denominator, -1, p) % p
         return pow(r, (p - 1) // 2, p) == 1
 
-
-def valuation(x: ValuedRational) -> Union[int, float]:
-    """v_p(x) as an integer, or math.inf for x = 0."""
-    return x.valuation()
-
-
-def residue(x: ValuedRational) -> int:
-    """Image of a locally integral x in the residue field, in [0, p)."""
-    return x.residue()
-
-
-def loc_min(x: ValuedRational) -> int:
-    """min(0, v_p(x)); by convention 0 at x = 0."""
-    return x.loc_min()
-
-
-def is_padic_square(x: ValuedRational) -> bool:
-    """Whether nonzero x becomes a square in the p-adic completion."""
-    return x.is_square()

@@ -63,27 +63,20 @@ def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
     """Axis vertices covering at least window * shift edges.
 
     The base vertex is projected onto the axis (the geodesic to its
-    image meets the axis after half the excess displacement), then the
-    segment is grown by translating the projection both ways.
+    image meets the axis after half the excess displacement).  Its
+    translates by g^-k and g^k lie on the axis, so the window is the one
+    geodesic between them, with k the least such that 2k >= window.
     """
     ell = translation_length(g)
     if ell == 0:
         raise NotHyperbolicError("no axis: translation length is zero")
     if window < 1:
         raise ValidationError("window must be >= 1")
-    steps = -(-window // 2)  # least k with 2k >= window
+    steps = -(-window // 2)
     check_size("axis segment", "vertices", DEFAULT_NODE_CAP, (2 * steps * ell + 1,))
     start = _projection(g, TreeVertex(0, 0, g.context), ell)
-    g_inv = g.inverse()
-    for _ in range(steps):
-        start = act(g_inv, start)
-    path = [start]
-    point = start
-    for _ in range(2 * steps):
-        point = act(g, point)
-        leg = geodesic(path[-1], point)
-        path.extend(leg[1:])
-    return AxisSegment(tuple(path), ell)
+    ends = act(g ** -steps, start), act(g ** steps, start)
+    return AxisSegment(tuple(geodesic(*ends)), ell)
 
 
 class EigenLines(NamedTuple):

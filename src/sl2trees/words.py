@@ -71,14 +71,33 @@ def _trusted_word(letters: Tuple[int, ...]) -> Word:
     return w
 
 
-def _reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
-    out: List[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
+def _reduce_letters(letters: Sequence[int], rules: Optional[Dict] = None,
+                    lengths: Sequence[int] = ()) -> Tuple[int, ...]:
+    """One left-to-right stack pass.  An arriving letter that cancels the
+    top is popped with it; otherwise it is pushed, and if the top m letters
+    (m in lengths, longest first) are a head in rules, they are popped
+    and its replacement is fed back into the input.  With no rules this
+    is free reduction.
+
+    The stack below its top never changes, so every subword of the result
+    was checked when its last letter was pushed: none is x x' or a head."""
+    out = [0]  # a sentinel no letter cancels
+    todo = list(letters)
+    todo.reverse()
+    while todo:
+        x = todo.pop()
+        if out[-1] == -x:
             out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+            continue
+        out.append(x)
+        for m in lengths:
+            if m < len(out):
+                repl = rules.get(tuple(out[-m:]))
+                if repl is not None:
+                    del out[-m:]
+                    todo.extend(reversed(repl))
+                    break
+    return tuple(out[1:])
 
 
 def _cyclic_reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -478,10 +497,13 @@ def _check_small_cancellation(sym: List[Tuple[int, ...]]):
                 )
 
 
-_RULES_CACHE: Dict[Tuple[Tuple[int, ...], ...], Dict] = {}
+_RULES_CACHE: Dict[Tuple[Tuple[int, ...], ...], Tuple[Dict, Tuple[int, ...]]] = {}
 
 
-def _dehn_rules(presentation: Presentation) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+def _dehn_rules(presentation: Presentation) -> Tuple[Dict, Tuple[int, ...]]:
+    """The rewriting rules head -> replacement (over half a symmetrized
+    relator -> the inverse of the rest) and their head lengths, longest
+    first."""
     if presentation.kind == "free":
         raise NotDehnPresentationError("free presentations have no relators")
     sym = _symmetrized(presentation.relators)
@@ -496,33 +518,19 @@ def _dehn_rules(presentation: Presentation) -> Dict[Tuple[int, ...], Tuple[int, 
         for t in range(m // 2 + 1, m + 1):
             head, tail = s[:t], s[t:]
             rules[head] = tuple(-x for x in reversed(tail))
-    _RULES_CACHE[key] = rules
-    return rules
+    lengths = tuple(sorted({len(k) for k in rules}, reverse=True))
+    _RULES_CACHE[key] = rules, lengths
+    return rules, lengths
 
 
 def dehn_reduce(w: Word, presentation: Presentation) -> Word:
-    """Shorten w by replacing over-half relator subwords, to a fixpoint.
+    """Dehn's algorithm as one linear stack pass, shared with free
+    reduction: each over-half relator subword is replaced by the inverse
+    of the rest as soon as its last letter arrives.
 
     For presentations passing the small-cancellation gate (surface
     groups of genus >= 2 in particular) the result is empty exactly when
-    w represents the identity.  Every replacement strictly shortens the
-    word, so this always terminates.
+    w represents the identity.  Every replacement is shorter than its
+    head, so the pass terminates and the result is never longer than w.
     """
-    rules = _dehn_rules(presentation)
-    lengths = sorted({len(k) for k in rules}, reverse=True)
-    letters = _reduce_letters(w.letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters)):
-            for m in lengths:
-                if i + m > len(letters):
-                    continue
-                repl = rules.get(letters[i:i + m])
-                if repl is not None:
-                    letters = _reduce_letters(letters[:i] + repl + letters[i + m:])
-                    changed = True
-                    break
-            if changed:
-                break
-    return Word(letters)
+    return Word(_reduce_letters(w.letters, *_dehn_rules(presentation)))

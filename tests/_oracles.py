@@ -5,7 +5,8 @@ cross-check a formula: tree vertices are integer triples, displacements come
 from elementary-divisor valuations computed on raw integers, the p-adic
 square test is a residue-table lookup, lattice saturation spans vectors
 of Fractions, and distances and eigenlines have Fraction routes of their
-own.
+own.  An axis window is grown one translate at a time from the library's
+own tree moves, to check that it is one geodesic.
 """
 
 import itertools
@@ -259,6 +260,25 @@ def saturated_lattice(gens, p, max_rounds):
         conj = mul2(mul2(inverse, m), basis)
         assert all(val_fraction(x, p) >= 0 for row in conj for x in row)
     return canonical_fraction(basis, p)
+
+
+def axis_by_legs(g, window):
+    """Vertices of axis_segment(g, window) built leg by leg: the projection
+    of (0; 0) onto the axis is moved back by g^-1 k times, for the least k
+    with 2k >= window, then 2k geodesics [x, gx] are joined end to end."""
+    from sl2trees import TreeVertex, act, geodesic, translation_length
+    from sl2trees.isometry import _projection
+
+    ell = translation_length(g)
+    steps = -(-window // 2)
+    start = _projection(g, TreeVertex(0, 0, g.context), ell)
+    g_inv = g.inverse()
+    for _ in range(steps):
+        start = act(g_inv, start)
+    path = [start]
+    for _ in range(2 * steps):
+        path.extend(geodesic(path[-1], act(g, path[-1]))[1:])
+    return tuple(path)
 
 
 def graph_distance(adjacency, start, goal):

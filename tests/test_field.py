@@ -9,16 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from sl2trees import (
     INFINITY,
     ContextMismatchError,
-    NegativeValuationError,
     PrimeContext,
     PrimeNotPrimeError,
     ValuedRational,
     ZeroInputError,
-    is_padic_square,
     is_prime,
-    loc_min,
-    residue,
-    valuation,
 )
 
 from sl2trees.field import _val_fraction
@@ -47,11 +42,11 @@ def test_context_rejects_nonprime(bad):
 
 def test_valuation_frozen():
     ctx = PrimeContext(3)
-    assert valuation(ctx(18)) == 2
-    assert valuation(ctx(Fraction(2, 9))) == -2
-    assert valuation(ctx(1)) == 0
-    assert valuation(ctx(0)) == INFINITY
-    assert valuation(ctx(Fraction(-27, 5))) == 3
+    assert ctx(18).valuation() == 2
+    assert ctx(Fraction(2, 9)).valuation() == -2
+    assert ctx(1).valuation() == 0
+    assert ctx(0).valuation() == INFINITY
+    assert ctx(Fraction(-27, 5)).valuation() == 3
     assert PrimeContext(2).valuation(Fraction(12, 5)) == 2
     assert PrimeContext(5).valuation(Fraction(7, 50)) == -2
 
@@ -102,49 +97,17 @@ def test_valuation_of_string_and_int_inputs():
     assert ctx(Fraction(4, 7)).valuation() == 0
 
 
-def test_residue_frozen():
-    ctx = PrimeContext(3)
-    assert residue(ctx(Fraction(2, 5))) == 1
-    assert residue(ctx(7)) == 1
-    assert residue(ctx(-1)) == 2
-    assert residue(ctx(6)) == 0
-    assert residue(PrimeContext(7)(Fraction(3, 2))) == 5
-
-
-def test_residue_requires_integrality():
-    ctx = PrimeContext(3)
-    with pytest.raises(NegativeValuationError):
-        residue(ctx(Fraction(1, 3)))
-
-
-def test_residue_is_multiplicative():
-    rng = random.Random(4242)
-    ctx = PrimeContext(7)
-    for _ in range(300):
-        x = Fraction(rng.randint(-100, 100), rng.choice([1, 2, 3, 5, 9, 11]))
-        y = Fraction(rng.randint(-100, 100), rng.choice([1, 2, 3, 5, 9, 11]))
-        assert residue(ctx(x * y)) == residue(ctx(x)) * residue(ctx(y)) % 7
-
-
-def test_loc_min():
-    ctx = PrimeContext(3)
-    assert loc_min(ctx(0)) == 0
-    assert loc_min(ctx(9)) == 0
-    assert loc_min(ctx(Fraction(1, 9))) == -2
-    assert loc_min(ctx(Fraction(5, 7))) == 0
-
-
 def test_padic_square_frozen():
-    assert is_padic_square(PrimeContext(5)(6))
-    assert not is_padic_square(PrimeContext(5)(5))
-    assert is_padic_square(PrimeContext(2)(17))
-    assert not is_padic_square(PrimeContext(2)(3))
-    assert not is_padic_square(PrimeContext(2)(2))
-    assert is_padic_square(PrimeContext(2)(4))
-    assert is_padic_square(PrimeContext(3)(Fraction(85, 9)))
-    assert not is_padic_square(PrimeContext(3)(3))
+    assert PrimeContext(5)(6).is_square()
+    assert not PrimeContext(5)(5).is_square()
+    assert PrimeContext(2)(17).is_square()
+    assert not PrimeContext(2)(3).is_square()
+    assert not PrimeContext(2)(2).is_square()
+    assert PrimeContext(2)(4).is_square()
+    assert PrimeContext(3)(Fraction(85, 9)).is_square()
+    assert not PrimeContext(3)(3).is_square()
     with pytest.raises(ZeroInputError):
-        is_padic_square(PrimeContext(7)(0))
+        PrimeContext(7)(0).is_square()
 
 
 def test_padic_square_against_residue_table():
@@ -155,7 +118,7 @@ def test_padic_square_against_residue_table():
             x = Fraction(rng.randint(-200, 200), rng.randint(1, 200))
             if x == 0:
                 continue
-            assert is_padic_square(ctx(x)) == padic_square_table(x, p)
+            assert ctx(x).is_square() == padic_square_table(x, p)
 
 
 def test_padic_squares_closed_under_multiplication():
@@ -163,11 +126,11 @@ def test_padic_squares_closed_under_multiplication():
     ctx = PrimeContext(3)
     for _ in range(200):
         x = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        assert is_padic_square(ctx(x * x))
-        assert not is_padic_square(ctx(3 * x * x))
+        assert ctx(x * x).is_square()
+        assert not ctx(3 * x * x).is_square()
         y = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        if is_padic_square(ctx(x)) and is_padic_square(ctx(y)):
-            assert is_padic_square(ctx(x * y))
+        if ctx(x).is_square() and ctx(y).is_square():
+            assert ctx(x * y).is_square()
 
 
 def test_valued_rational_arithmetic_is_exact():
@@ -208,10 +171,9 @@ def test_valued_rational_equality_and_hash():
 
 
 def test_is_integral_and_is_unit():
+    # integral is valuation >= 0 and a unit valuation == 0; 0 is integral
     ctx = PrimeContext(3)
-    assert ctx(6).is_integral()
-    assert not ctx(6).is_unit()
-    assert ctx(Fraction(2, 5)).is_unit()
-    assert not ctx(Fraction(1, 3)).is_integral()
-    assert ctx(0).is_integral()
-    assert not ctx(0).is_unit()
+    assert ctx(6).valuation() == 1
+    assert ctx(Fraction(2, 5)).valuation() == 0
+    assert ctx(Fraction(1, 3)).valuation() == -1
+    assert ctx(0).valuation() == INFINITY > 0

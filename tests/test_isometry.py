@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,15 +18,15 @@ from sl2trees import (
     classify,
     distance,
     fixed_vertex,
-    is_padic_square,
     rational_eigenlines,
     translation_length,
 )
 
 from sl2trees.isometry import _projection
 
-from _oracles import eigenlines_fraction
-from conftest import random_integral_sl2, random_sl2, sl2z_pair
+from _oracles import axis_by_legs, eigenlines_fraction
+from conftest import (
+    random_integral_sl2, random_sl2, sl2z_pair, unbounded_irreducible_rep)
 
 CTX = PrimeContext(3)
 
@@ -179,6 +180,35 @@ def test_axis_properties():
                 assert act(g, v) == seg.vertices[i + l]
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), k=st.integers(1, 3),
+       window=st.integers(1, 7), rng=st.randoms(use_true_random=False))
+def test_axis_is_the_leg_by_leg_window(p, k, window, rng):
+    # g^-s x and g^s x lie on the axis, so the geodesic between them is
+    # the 2s legs [g^i x, g^(i+1) x] joined end to end (Serre, Trees, I.6.4)
+    ctx = PrimeContext(p)
+    g = diag(k, ctx).conjugated_by(random_sl2(rng, ctx, steps=rng.randint(1, 5)))
+    if rng.random() < 0.5:
+        g = g * random_sl2(rng, ctx, steps=2)
+    if translation_length(g) == 0:
+        return
+    assert axis_segment(g, window).vertices == axis_by_legs(g, window)
+
+
+def test_far_axis_window_is_fast():
+    # translating the projection step by step took 81.6 s here
+    rep = unbounded_irreducible_rep(PrimeContext(3))
+    g = rep.evaluate(rep.presentation.parse("b a"))
+    start = time.perf_counter()
+    seg = axis_segment(g, 8000)
+    assert time.perf_counter() - start < 2.0
+    assert seg.shift == 2
+    assert len(seg.vertices) == 16_001
+    for i in range(0, 15_999, 1231):
+        assert act(g, seg.vertices[i]) == seg.vertices[i + 2]
+        assert distance(seg.vertices[i], seg.vertices[i + 1]) == 1
+
+
 def test_axis_segment_cap():
     # 2 * ceil(window / 2) * shift + 1 vertices, refused before any is built
     for window, count in ((50_000, 100_001), (10**9, 2_000_000_001)):
@@ -227,7 +257,7 @@ def test_eigenlines_are_invariant_and_normalized():
         disc = g.trace() * g.trace() - 4
         if kind in {"one", "two"} and disc != 0:
             # rational square discriminants are squares in the completion too
-            assert is_padic_square(disc)
+            assert disc.is_square()
         if kind == "none" and not g.is_central():
             # not a rational square: negative, or the reduced numerator or
             # denominator is not a perfect square

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
@@ -29,7 +29,8 @@ from sl2trees import (
     word_to_text,
 )
 from sl2trees.words import (
-    DEFAULT_WORD_CAP, check_ball, letter_alphabet, sphere_sizes, word_sort_key)
+    DEFAULT_WORD_CAP, _dehn_rules, check_ball, letter_alphabet, sphere_sizes,
+    word_sort_key)
 
 from _oracles import fraction_fold
 from conftest import random_integral_sl2
@@ -366,22 +367,66 @@ def test_dehn_never_grows_and_is_idempotent():
         assert dehn_reduce(r, SURF2) == r
 
 
-def test_dehn_reduction_preserves_images_when_the_relator_holds():
-    # replacements only ever splice in the relator, so any assignment
-    # that satisfies it must evaluate w and dehn_reduce(w) identically
-    from fractions import Fraction
-    from sl2trees import SL2Matrix
-
+def relator_images(genus):
+    """Generator images satisfying the genus-g surface relator: [x, y] [y, x]
+    and then [y, y] for each further handle."""
     ctx = PrimeContext(3)
     x = SL2Matrix(((3, 0), (0, Fraction(1, 3))), ctx)
     y = SL2Matrix(((1, 1), (1, 2)), ctx)
-    mats = [x, y, y, x]
+    return [x, y, y, x] + [y, y] * (genus - 2)
+
+
+def test_dehn_reduction_preserves_images_when_the_relator_holds():
+    # replacements only ever splice in the relator, so any assignment
+    # that satisfies it must evaluate w and dehn_reduce(w) identically
+    ctx = PrimeContext(3)
+    mats = relator_images(2)
     relator = SURF2.relators[0]
     assert evaluate(relator, mats) == SL2Matrix.identity(ctx)
     rng = random.Random(4242)
     for _ in range(500):
         w = Word(random_letters(rng, 4, rng.randint(0, 14)))
         assert evaluate(dehn_reduce(w, SURF2), mats) == evaluate(w, mats)
+
+
+@st.composite
+def surface_words(draw):
+    """A genus-2 or genus-3 surface presentation and a word over it made of
+    single letters and rule heads, so that most draws need rewriting."""
+    pres = Presentation.surface(draw(st.sampled_from((2, 3))))
+    heads = sorted(_dehn_rules(pres)[0])
+    singles = [(x,) for x in letter_alphabet(pres.rank)]
+    chunks = draw(st.lists(st.sampled_from(singles + heads), max_size=10))
+    return pres, Word(tuple(itertools.chain.from_iterable(chunks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_words())
+# a rewrite's replacement must go back through the pass: pushed unchecked,
+# it leaves the head a2' b1 a1 b1' a1' here
+@example((SURF2, Word((4, -4, -3, 2, 1, -2, -2, -1, 4, 3, -4))))
+def test_dehn_result_is_dehn_reduced(case):
+    pres, w = case
+    rules, lengths = _dehn_rules(pres)
+    r = dehn_reduce(w, pres).letters
+    assert Word(r).is_reduced()
+    assert not any(r[i:i + m] in rules
+                   for i in range(len(r)) for m in lengths if i + m <= len(r))
+    assert len(r) <= len(w)
+    assert dehn_reduce(Word(r), pres).letters == r
+    mats = relator_images(pres.genus)
+    assert evaluate(pres.relators[0], mats) == SL2Matrix.identity(mats[0].context)
+    assert evaluate(Word(r), mats) == evaluate(w, mats)
+
+
+def test_dehn_reduction_of_a_long_identity_word_is_linear():
+    # restarting the scan after each rewrite took 7.2 s here
+    relator = SURF2.relators[0]
+    w = Word(relator.letters * 5000)
+    assert len(w) == 40_000
+    start = time.perf_counter()
+    assert dehn_reduce(w, SURF2).letters == ()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dehn_genus_three():
