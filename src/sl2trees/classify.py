@@ -83,9 +83,6 @@ class Representation:
     def evaluate(self, w: Word) -> SL2Matrix:
         return SL2Matrix._of(scaled_image(w, self._letters), self.context)
 
-    def trace(self, w: Word) -> ValuedRational:
-        return self.evaluate(w).trace()
-
     def _generators(self) -> List[Scaled]:
         """The scaled images of the generators, in presentation order."""
         return [self._letters[i] for i in range(1, self.presentation.rank + 1)]
@@ -250,8 +247,7 @@ def classify(rep: Representation) -> ClassificationReport:
         # field, which splits over the completion iff tr^2 - 4 is a
         # completion square for a non-central element
         head = next(m for m in rep.matrices if not m.is_central())
-        disc = head.trace() * head.trace() - ValuedRational(4, rep.context)
-        completion = disc.is_square()
+        completion = rep.context.is_square(head.trace() ** 2 - 4)
     zariski = (not bounded) and (not reducible)
     note = (
         "image has bounded closure; density is reported for the unbounded case"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ContextMismatchError, PrimeNotPrimeError, ZeroInputError
+from .errors import PrimeNotPrimeError, ZeroInputError
 
 INFINITY = math.inf
 
@@ -82,13 +82,27 @@ class PrimeContext:
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise PrimeNotPrimeError(f"not a prime: {self.p!r}")
 
-    def __call__(self, value: RationalLike) -> "ValuedRational":
-        """Shorthand: ctx(value) wraps a rational in this context."""
-        return ValuedRational(value, self)
-
     def valuation(self, q) -> Union[int, float]:
-        """Valuation of a bare int or Fraction, without wrapping it."""
+        """Valuation of an int or Fraction; math.inf for 0."""
         return _val_fraction(q, self.p)
+
+    def is_square(self, q) -> bool:
+        """Whether the int or Fraction q is a square in the p-adic completion.
+
+        A nonzero rational is a completion square iff its valuation is
+        even and its unit part is a square unit: a quadratic residue for
+        odd p, congruent to 1 mod 8 for p = 2.
+        """
+        if q == 0:
+            raise ZeroInputError("square test needs a nonzero input")
+        p, v = self.p, _val_fraction(q, self.p)
+        if v % 2 != 0:
+            return False
+        unit = Fraction(q) / Fraction(p) ** v
+        if p == 2:
+            return unit.numerator * pow(unit.denominator, -1, 8) % 8 == 1
+        r = unit.numerator * pow(unit.denominator, -1, p) % p
+        return pow(r, (p - 1) // 2, p) == 1
 
     def __repr__(self):
         return f"PrimeContext({self.p})"
@@ -106,11 +120,8 @@ def _coerce(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class ValuedRational:
-    """A rational number carrying the prime that values it.
-
-    Arithmetic is exact and closed within one context; mixing contexts
-    raises ContextMismatchError rather than guessing.
-    """
+    """A rational number with the prime that values it: the item type of
+    classify.commutator_trace_scan.  Every other path uses Fraction."""
 
     value: Fraction
     context: PrimeContext
@@ -118,62 +129,6 @@ class ValuedRational:
     def __init__(self, value: RationalLike, context: PrimeContext):
         object.__setattr__(self, "value", _coerce(value))
         object.__setattr__(self, "context", context)
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def _same(self, other: "ValuedRational"):
-        if not isinstance(other, ValuedRational):
-            raise TypeError(f"expected ValuedRational, got {other!r}")
-        if other.context != self.context:
-            raise ContextMismatchError(
-                f"mixed primes {self.context.p} and {other.context.p}"
-            )
-
-    def _lift(self, other) -> "ValuedRational":
-        if isinstance(other, ValuedRational):
-            self._same(other)
-            return other
-        return ValuedRational(other, self.context)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return ValuedRational(self.value + other.value, self.context)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return ValuedRational(self.value - other.value, self.context)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return ValuedRational(self.value * other.value, self.context)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other.value == 0:
-            raise ZeroInputError("division by zero")
-        return ValuedRational(self.value / other.value, self.context)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __neg__(self):
-        return ValuedRational(-self.value, self.context)
-
-    def __bool__(self):
-        return self.value != 0
 
     def __eq__(self, other):
         if isinstance(other, ValuedRational):
@@ -191,27 +146,5 @@ class ValuedRational:
     def __repr__(self):
         return f"ValuedRational({self.value}, p={self.context.p})"
 
-    # -- valuation-theoretic queries ------------------------------------
-
     def valuation(self) -> Union[int, float]:
         return _val_fraction(self.value, self.context.p)
-
-    def is_square(self) -> bool:
-        """Whether the value is a square in the p-adic completion.
-
-        A nonzero rational is a completion square iff its valuation is
-        even and its unit part is a square unit: a quadratic residue for
-        odd p, congruent to 1 mod 8 for p = 2.
-        """
-        if self.value == 0:
-            raise ZeroInputError("square test needs a nonzero input")
-        p = self.context.p
-        v = self.valuation()
-        if v % 2 != 0:
-            return False
-        unit = self.value / Fraction(p) ** v
-        if p == 2:
-            return unit.numerator * pow(unit.denominator, -1, 8) % 8 == 1
-        r = unit.numerator * pow(unit.denominator, -1, p) % p
-        return pow(r, (p - 1) // 2, p) == 1
-

@@ -14,24 +14,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 from .errors import ContextMismatchError, DeterminantNotOneError
-from .field import PrimeContext, RationalLike, ValuedRational, _coerce
+from .field import PrimeContext, RationalLike, _coerce
 
-EntryLike = Union[RationalLike, ValuedRational]
 Scaled = Tuple[int, int, int, int, int]  # (A, B, C, D, den)
 IDENTITY: Scaled = (1, 0, 0, 1, 1)
-
-
-def _entry(value: EntryLike, context: PrimeContext) -> Fraction:
-    if isinstance(value, ValuedRational):
-        if value.context != context:
-            raise ContextMismatchError(
-                f"entry over p={value.context.p} in a matrix over p={context.p}"
-            )
-        return value.value
-    return _coerce(value)
 
 
 class SL2Matrix:
@@ -45,9 +34,9 @@ class SL2Matrix:
 
     __slots__ = ("scaled", "context")
 
-    def __init__(self, rows: Sequence[Sequence[EntryLike]], context: PrimeContext):
+    def __init__(self, rows: Sequence[Sequence[RationalLike]], context: PrimeContext):
         (a, b), (c, d) = rows
-        entries = [_entry(x, context) for x in (a, b, c, d)]
+        entries = [_coerce(x) for x in (a, b, c, d)]
         den = math.lcm(*(x.denominator for x in entries))
         a, b, c, d = (x.numerator * (den // x.denominator) for x in entries)
         if a * d - b * c != den * den:
@@ -101,9 +90,9 @@ class SL2Matrix:
         a, b, c, d, den = self.scaled
         return SL2Matrix._of((-a, -b, -c, -d, den), self.context)
 
-    def trace(self) -> ValuedRational:
+    def trace(self) -> Fraction:
         a, _, _, d, den = self.scaled
-        return ValuedRational(Fraction(a + d, den), self.context)
+        return Fraction(a + d, den)
 
     def is_integral(self) -> bool:
         """Whether every entry has nonnegative valuation."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, UnknownGeneratorError, ValidationError
@@ -150,8 +151,8 @@ class TracePolynomial:
     def evaluate(self, values: Mapping[VarKey, object]):
         """Plug exact values in for the variables; stays exact.
 
-        Values may be ValuedRational or Fraction; a constant polynomial
-        evaluates to a plain int.
+        Values are ints or Fractions, as fundamental_traces gives them;
+        a constant polynomial evaluates to a plain int.
         """
         names, powers, total = list(_VAR_BIT), {}, 0
         for mono, coeff in self._terms.items():
@@ -328,9 +329,9 @@ class FundamentalTraceVector:
     """Traces of all increasing products, the full trace coordinate."""
 
     rank: int
-    entries: Dict[VarKey, object]
+    entries: Dict[VarKey, Fraction]
 
-    def ordered(self) -> List[Tuple[VarKey, object]]:
+    def ordered(self) -> List[Tuple[VarKey, Fraction]]:
         return [(s, self.entries[s]) for s in subset_keys(self.rank)]
 
     def __getitem__(self, s: VarKey):

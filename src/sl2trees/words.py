@@ -497,7 +497,7 @@ def _check_small_cancellation(sym: List[Tuple[int, ...]]):
                 )
 
 
-_RULES_CACHE: Dict[Tuple[Tuple[int, ...], ...], Tuple[Dict, Tuple[int, ...]]] = {}
+_RULES_CACHE: Dict[Tuple[Word, ...], Tuple[Dict, Tuple[int, ...]]] = {}
 
 
 def _dehn_rules(presentation: Presentation) -> Tuple[Dict, Tuple[int, ...]]:
@@ -506,11 +506,11 @@ def _dehn_rules(presentation: Presentation) -> Tuple[Dict, Tuple[int, ...]]:
     first."""
     if presentation.kind == "free":
         raise NotDehnPresentationError("free presentations have no relators")
-    sym = _symmetrized(presentation.relators)
-    key = tuple(sym)
+    key = tuple(presentation.relators)
     cached = _RULES_CACHE.get(key)
     if cached is not None:
         return cached
+    sym = _symmetrized(key)
     _check_small_cancellation(sym)
     rules: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for s in sym:

@@ -201,7 +201,7 @@ def test_criterion_04_boundedness_triad_agrees_on_corpus():
             bounded_seen += 1
         else:
             assert witness is not None
-            assert rep.trace(witness).valuation() < 0
+            assert rep.context.valuation(rep.evaluate(witness).trace()) < 0
             unbounded_seen += 1
     assert bounded_seen >= 26 and unbounded_seen >= 12
     elapsed = time.monotonic() - t0
@@ -402,9 +402,9 @@ def test_criterion_10_integral_bounded_and_entry_perturbations_flip():
                 report = classify(free2_rep(ctx, *mats))
                 assert not report.bounded
                 assert report.unbounded_witness is not None
-                witness_trace = free2_rep(ctx, *mats).trace(
-                    report.unbounded_witness)
-                assert witness_trace.valuation() < 0
+                witness_trace = free2_rep(ctx, *mats).evaluate(
+                    report.unbounded_witness).trace()
+                assert ctx.valuation(witness_trace) < 0
                 flipped += 1
         assert flipped == 8
     elapsed = time.monotonic() - t0

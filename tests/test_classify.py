@@ -95,12 +95,12 @@ def test_relator_image_must_be_the_identity_entrywise():
 def test_representation_helpers():
     rep = sl2z_pair(CTX)
     w = parse_word("a b a' b'", rep.presentation)
-    assert rep.trace(w) == 3
+    assert rep.evaluate(w).trace() == 3
     assert rep.matrix("a").rows() == ((1, 1), (0, 1))
     assert [val for _, val in rep.fundamental().ordered()] == [2, 2, 3]
     h = SL2Matrix(((1, 0), (3, 1)), CTX)
     conj = rep.conjugated_by(h)
-    assert conj.trace(w) == 3
+    assert conj.evaluate(w).trace() == 3
     assert conj.matrix("a") == rep.matrix("a").conjugated_by(h)
 
 
@@ -113,7 +113,7 @@ def test_bounded_frozen_cases():
     assert not flag
     assert witness == Word((1,))
     # witness really escapes the integers
-    assert diag_rep(CTX).trace(witness).valuation() < 0
+    assert CTX.valuation(diag_rep(CTX).evaluate(witness).trace()) < 0
 
 
 def test_witness_is_first_in_fundamental_order():
@@ -199,7 +199,7 @@ def test_boundedness_triad_random():
             v = fixed_lattice_certificate(rep)
             assert all(act(g, v) == v for g in rep.matrices)
         else:
-            assert rep.trace(witness).valuation() < 0
+            assert CTX.valuation(rep.evaluate(witness).trace()) < 0
             with pytest.raises(NotBoundedError):
                 fixed_lattice_certificate(rep)
 
@@ -448,7 +448,7 @@ def test_commutator_scan_counts_pairs_before_building_them():
 def test_commutator_scan_values_match_traces():
     rep = unbounded_irreducible_rep(CTX)
     for w, t in commutator_trace_scan(rep, max_total_len=3):
-        assert rep.trace(w) == t
+        assert rep.evaluate(w).trace() == t
 
 
 # -- conjugacy -----------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from sl2trees import (
     INFINITY,
-    ContextMismatchError,
     PrimeContext,
     PrimeNotPrimeError,
     ValuedRational,
@@ -42,11 +41,11 @@ def test_context_rejects_nonprime(bad):
 
 def test_valuation_frozen():
     ctx = PrimeContext(3)
-    assert ctx(18).valuation() == 2
-    assert ctx(Fraction(2, 9)).valuation() == -2
-    assert ctx(1).valuation() == 0
-    assert ctx(0).valuation() == INFINITY
-    assert ctx(Fraction(-27, 5)).valuation() == 3
+    assert ctx.valuation(Fraction(18)) == 2
+    assert ctx.valuation(Fraction(2, 9)) == -2
+    assert ctx.valuation(Fraction(1)) == 0
+    assert ctx.valuation(Fraction(0)) == INFINITY
+    assert ctx.valuation(Fraction(-27, 5)) == 3
     assert PrimeContext(2).valuation(Fraction(12, 5)) == 2
     assert PrimeContext(5).valuation(Fraction(7, 50)) == -2
 
@@ -92,22 +91,26 @@ def test_val_fraction_of_a_high_power_is_fast():
 
 def test_valuation_of_string_and_int_inputs():
     ctx = PrimeContext(5)
-    assert ctx("1/25").valuation() == -2
-    assert ctx(250).valuation() == 3
-    assert ctx(Fraction(4, 7)).valuation() == 0
+    assert ctx.valuation(Fraction("1/25")) == -2
+    assert ctx.valuation(Fraction(250)) == 3
+    assert ctx.valuation(Fraction(4, 7)) == 0
 
 
 def test_padic_square_frozen():
-    assert PrimeContext(5)(6).is_square()
-    assert not PrimeContext(5)(5).is_square()
-    assert PrimeContext(2)(17).is_square()
-    assert not PrimeContext(2)(3).is_square()
-    assert not PrimeContext(2)(2).is_square()
-    assert PrimeContext(2)(4).is_square()
-    assert PrimeContext(3)(Fraction(85, 9)).is_square()
-    assert not PrimeContext(3)(3).is_square()
-    with pytest.raises(ZeroInputError):
-        PrimeContext(7)(0).is_square()
+    assert PrimeContext(5).is_square(6)
+    assert not PrimeContext(5).is_square(5)
+    assert PrimeContext(2).is_square(17)
+    assert not PrimeContext(2).is_square(3)
+    assert not PrimeContext(2).is_square(2)
+    assert PrimeContext(2).is_square(4)
+    assert PrimeContext(3).is_square(Fraction(85, 9))
+    assert not PrimeContext(3).is_square(3)
+
+
+def test_is_square_of_zero_raises():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInputError):
+            PrimeContext(7).is_square(zero)
 
 
 def test_padic_square_against_residue_table():
@@ -118,7 +121,7 @@ def test_padic_square_against_residue_table():
             x = Fraction(rng.randint(-200, 200), rng.randint(1, 200))
             if x == 0:
                 continue
-            assert ctx(x).is_square() == padic_square_table(x, p)
+            assert ctx.is_square(x) == padic_square_table(x, p)
 
 
 def test_padic_squares_closed_under_multiplication():
@@ -126,54 +129,26 @@ def test_padic_squares_closed_under_multiplication():
     ctx = PrimeContext(3)
     for _ in range(200):
         x = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        assert ctx(x * x).is_square()
-        assert not ctx(3 * x * x).is_square()
+        assert ctx.is_square(x * x)
+        assert not ctx.is_square(3 * x * x)
         y = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        if ctx(x).is_square() and ctx(y).is_square():
-            assert ctx(x * y).is_square()
-
-
-def test_valued_rational_arithmetic_is_exact():
-    ctx = PrimeContext(3)
-    x = ctx(Fraction(1, 3))
-    y = ctx(Fraction(2, 3))
-    assert (x + y) == 1
-    assert (x * 3) == 1
-    assert (x - y) == Fraction(-1, 3)
-    assert (x / y) == Fraction(1, 2)
-    assert (-x) == Fraction(-1, 3)
-    assert (x * x) == Fraction(1, 9)
-    assert x + Fraction(2, 3) == 1
-    assert 1 - x == Fraction(2, 3)
-
-
-def test_division_by_zero():
-    ctx = PrimeContext(3)
-    with pytest.raises(ZeroInputError):
-        ctx(1) / ctx(0)
-
-
-def test_context_mismatch_raises():
-    x = PrimeContext(3)(1)
-    y = PrimeContext(5)(1)
-    with pytest.raises(ContextMismatchError):
-        x + y
-    with pytest.raises(ContextMismatchError):
-        x * y
+        if ctx.is_square(x) and ctx.is_square(y):
+            assert ctx.is_square(x * y)
 
 
 def test_valued_rational_equality_and_hash():
     ctx = PrimeContext(3)
-    assert ctx(2) == 2
-    assert ctx(Fraction(4, 2)) == ctx(2)
-    assert hash(ctx(2)) == hash(ctx(Fraction(2)))
-    assert ctx(2) != PrimeContext(5)(2)
+    assert ValuedRational(2, ctx) == 2
+    assert ValuedRational(Fraction(4, 2), ctx) == ValuedRational(2, ctx)
+    assert ValuedRational(2, ctx) == Fraction(2)
+    assert hash(ValuedRational(2, ctx)) == hash(ValuedRational(Fraction(2), ctx))
+    assert ValuedRational(2, ctx) != ValuedRational(2, PrimeContext(5))
 
 
 def test_is_integral_and_is_unit():
     # integral is valuation >= 0 and a unit valuation == 0; 0 is integral
     ctx = PrimeContext(3)
-    assert ctx(6).valuation() == 1
-    assert ctx(Fraction(2, 5)).valuation() == 0
-    assert ctx(Fraction(1, 3)).valuation() == -1
-    assert ctx(0).valuation() == INFINITY > 0
+    assert ctx.valuation(Fraction(6)) == 1
+    assert ctx.valuation(Fraction(2, 5)) == 0
+    assert ctx.valuation(Fraction(1, 3)) == -1
+    assert ctx.valuation(Fraction(0)) == INFINITY > 0

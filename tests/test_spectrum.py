@@ -239,7 +239,7 @@ def test_length_of_edge_cases():
     a = SL2Matrix(((Fraction(1, 9), 0), (0, 9)), CTX)
     b = SL2Matrix(((Fraction(1, 3), 1), (Fraction(-10, 9), Fraction(-1, 3))), CTX)
     rep = free2_rep(CTX, a, b)
-    assert rep.evaluate(Word((2,))).trace().value == 0
+    assert rep.evaluate(Word((2,))).trace() == 0
     for letters, ell in (((), 0), ((1,), 4), ((2,), 0), ((2, 2), 0), ((1, 2), 6)):
         assert length_of(rep, Word(letters)) == ell
         assert translation_length(rep.evaluate(Word(letters))) == ell

@@ -28,6 +28,7 @@ from sl2trees import (
     parse_word,
     word_to_text,
 )
+from sl2trees import words
 from sl2trees.words import (
     DEFAULT_WORD_CAP, _dehn_rules, check_ball, letter_alphabet, sphere_sizes,
     word_sort_key)
@@ -442,3 +443,29 @@ def test_dehn_rejects_free_and_torus():
     torus = Presentation.explicit(["a", "b"], ["a b a' b'"])
     with pytest.raises(NotDehnPresentationError):
         dehn_reduce(Word((1,)), torus)
+
+
+def test_dehn_rules_are_built_once_per_presentation(monkeypatch):
+    texts = ("a1 b1 a1' b1' a2 b2", "b2' a2' b2 a2 b1' a1' b1", "a1 a1' b2 b1 a1 b1'")
+    ws = [parse_word(t, SURF2) for t in texts]
+    expected = []
+    for w in ws:
+        words._RULES_CACHE.clear()
+        expected.append(dehn_reduce(w, SURF2))
+    calls = []
+    build = words._symmetrized
+
+    def counted(relators):
+        calls.append(relators)
+        return build(relators)
+
+    monkeypatch.setattr(words, "_symmetrized", counted)
+    words._RULES_CACHE.clear()
+    assert [dehn_reduce(w, SURF2) for w in ws] == expected
+    assert len(calls) == 1
+    # a presentation failing the gate is never cached, so it is refused each time
+    torus = Presentation.explicit(["a", "b"], ["a b a' b'"])
+    for _ in range(2):
+        with pytest.raises(NotDehnPresentationError):
+            dehn_reduce(Word((1,)), torus)
+    assert len(calls) == 3
