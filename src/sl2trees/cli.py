@@ -15,7 +15,7 @@ from typing import List, Optional
 from .classify import classify
 from .errors import Sl2TreesError
 from .field import PrimeContext
-from .isometry import axis_segment
+from .isometry import _axis_ends, translation_length
 from .repfile import load_representation
 from .spectrum import length_of, spectrum_rows, write_tsv
 from .traces import trace_polynomial
@@ -151,9 +151,12 @@ def cmd_tree_geodesic(args) -> int:
 def cmd_tree_axis(args) -> int:
     rep = load_representation(args.path)
     w = parse_word(args.word, rep.presentation)
-    seg = axis_segment(rep.evaluate(w), window=args.window)
-    print(f"translation_length\t{seg.shift}")
-    for v in seg.vertices:
+    g = rep.evaluate(w)
+    ends = _axis_ends(g, args.window)
+    for v in ends:  # each window vertex's numbers are at most an end's
+        v.text()
+    print(f"translation_length\t{translation_length(g)}")
+    for v in geodesic(*ends):
         print(v.text())
     return 0
 

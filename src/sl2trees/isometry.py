@@ -59,14 +59,11 @@ class AxisSegment:
     shift: int
 
 
-def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
-    """Axis vertices covering at least window * shift edges.
-
-    The base vertex is projected onto the axis (the geodesic to its
-    image meets the axis after half the excess displacement).  Its
-    translates by g^-k and g^k lie on the axis, so the window is the one
-    geodesic between them, with k the least such that 2k >= window.
-    """
+def _axis_ends(g: SL2Matrix, window: int) -> Tuple[TreeVertex, TreeVertex]:
+    """The two ends of axis_segment(g, window).  The base vertex is
+    projected onto the axis (the geodesic to its image meets the axis
+    after half the excess displacement), and its translates by g^-k and
+    g^k lie on the axis, with k the least such that 2k >= window."""
     ell = translation_length(g)
     if ell == 0:
         raise NotHyperbolicError("no axis: translation length is zero")
@@ -75,8 +72,13 @@ def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
     steps = -(-window // 2)
     check_size("axis segment", "vertices", DEFAULT_NODE_CAP, (2 * steps * ell + 1,))
     start = _projection(g, TreeVertex(0, 0, g.context), ell)
-    ends = act(g ** -steps, start), act(g ** steps, start)
-    return AxisSegment(tuple(geodesic(*ends)), ell)
+    return act(g ** -steps, start), act(g ** steps, start)
+
+
+def axis_segment(g: SL2Matrix, window: int = 2) -> AxisSegment:
+    """Axis vertices covering at least window * shift edges: the one
+    geodesic between the two ends _axis_ends gives."""
+    return AxisSegment(tuple(geodesic(*_axis_ends(g, window))), translation_length(g))
 
 
 class EigenLines(NamedTuple):

@@ -2,8 +2,9 @@
 
 A vertex is the homothety class of a locally-free rank-2 lattice.  Every
 class has a unique upper-triangular basis [[p^n, c], [0, 1]] with level
-n an integer and center c a p-power-denominator rational in [0, p^n);
-that pair is the canonical vertex datum used everywhere below.
+n an integer and center c a p-power-denominator rational in [0, p^n).
+A vertex stores c as r / p^e in lowest terms: the routines below read and
+build the integers (n, r, e) alone, and `center` makes a Fraction on reading.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Tuple, Union
 
 from .errors import ContextMismatchError, SingularMatrixError, ValidationError
@@ -22,15 +24,17 @@ from .words import check_size, sphere_sizes
 DEFAULT_NODE_CAP = 100_000
 
 
-def _center(b: int, d: int, n: int, p: int) -> Fraction:
-    """Canonical center of b/d at level n, for integers b and d != 0: the
-    rational in Z[1/p] and [0, p^n) whose difference from b/d has valuation
-    >= n.  With d = p^e q, q prime to p, it is b/q mod p^(n+e), over p^e."""
+def _center(b: int, d: int, n: int, p: int) -> Tuple[int, int]:
+    """Canonical center r/p^e of b/d at level n, for integers b and d != 0:
+    in lowest terms, in [0, p^n) and within valuation n of b/d.  With
+    d = p^e q, q prime to p, r is b/q mod p^(n+e) over p^e, reduced."""
     e = _val_fraction(d, p)
     if b == 0 or n + e <= 0:  # then v(b/d) >= -e >= n
-        return Fraction(0)
-    pe, modulus = p ** e, p ** (n + e)
-    return Fraction(b * pow(d // pe, -1, modulus) % modulus, pe)
+        return 0, 0
+    modulus = p ** (n + e)
+    r = b * pow(d // p ** e, -1, modulus) % modulus
+    k = min(e, _val_fraction(r, p))  # math.inf for r = 0, when k = e
+    return (r // p ** k, e - k) if k else (r, e)
 
 
 def _trusted(cls, *values):
@@ -40,34 +44,39 @@ def _trusted(cls, *values):
     return obj
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    """Canonical lattice-class vertex (level n, center c).
+class TreeVertex(tuple):
+    """Canonical lattice-class vertex (level n, center c = r / p^e), the
+    immutable tuple (n, r, e, context); equality and hash are the tuple's.
+    The constructor canonicalizes c, so TreeVertex(n, c) is total over
+    rational c and canonicalization is idempotent."""
 
-    The constructor canonicalizes the center, so TreeVertex(n, c) is
-    total over rational c and canonicalization is idempotent.
-    """
+    __slots__ = ()
+    level = property(itemgetter(0))
+    context = property(itemgetter(3))
+    center = property(lambda v: Fraction(v[1], v[3].p ** v[2]))
 
-    level: int
-    center: Fraction
-    context: PrimeContext
-
-    def __init__(self, level: int, center, context: PrimeContext):
+    def __new__(cls, level: int, center, context: PrimeContext):
         if not isinstance(level, int):
             raise ValidationError(f"level must be an integer, got {level!r}")
-        c = _coerce(center)  # fields set as in _trusted, past the frozen guard
-        self.__dict__.update(level=level, context=context,
-                             center=_center(c.numerator, c.denominator, level, context.p))
+        c = center if isinstance(center, int) else _coerce(center)
+        return _new(cls, (level, *_center(c.numerator, c.denominator, level, context.p),
+                          context))
+
+    def __getnewargs__(self):
+        return self.level, self.center, self.context
 
     def text(self) -> str:
+        n, r, e, ctx = self
         try:
-            return f"({self.level}; {self.center})"
+            return f"({n}; {r}/{ctx.p ** e})" if e else f"({n}; {r})"
         except ValueError:  # Python's 4300-digit limit on int strings
             raise ValidationError("vertex has a number of over 4300 digits") from None
 
     def __repr__(self):
         return f"TreeVertex{self.text()}@p={self.context.p}"
 
+
+_new = tuple.__new__  # a TreeVertex from its canonical (n, r, e, context)
 
 _VERTEX_RE = re.compile(
     r"^\(\s*(-?\d+)\s*;\s*(-?\d+(?:/\d+)?)\s*\)$"
@@ -92,61 +101,64 @@ def parse_vertex(text: str, context: PrimeContext) -> TreeVertex:
     return TreeVertex(level, center, context)
 
 
-def _require_same_context(u: TreeVertex, v: TreeVertex):
-    if u.context != v.context:
-        raise ContextMismatchError("vertices live in trees of different primes")
-
-
 def distance(u: TreeVertex, v: TreeVertex) -> int:
     """Tree distance from the level/center normal form."""
-    _require_same_context(u, v)
-    if u.level == v.level and u.center == v.center:
+    if u[3] != v[3]:
+        raise ContextMismatchError("vertices live in trees of different primes")
+    if u == v:
         return 0
-    meet = _meet_level(u, v)
-    return u.level + v.level - 2 * meet
+    return u[0] + v[0] - 2 * _meet_level(u, v)
 
 
 def _meet_level(u: TreeVertex, v: TreeVertex) -> int:
-    sep = _val_fraction(u.center - v.center, u.context.p)
-    m = min(u.level, v.level)
-    return m if sep >= m else int(sep)
+    """The lowest level of [u, v]: the lower level, or v(c_u - c_v) if less."""
+    (n1, r1, e1, ctx), (n2, r2, e2, _) = u, v
+    p, e, m = ctx.p, max(e1, e2), min(n1, n2)
+    sep = _val_fraction(r1 * p ** (e - e1) - r2 * p ** (e - e2), p) - e
+    return m if sep >= m else sep
+
+
+def _ancestor(v: TreeVertex, j: int) -> TreeVertex:
+    """v's ancestor at level j <= v.level: the center r/p^e taken mod p^j,
+    that is r mod p^(j+e) over p^e, still in lowest terms when j + e > 0."""
+    _, r, e, ctx = v
+    k = j + e
+    return _new(TreeVertex, (j, r % ctx.p ** k, e, ctx) if k > 0 else (j, 0, 0, ctx))
 
 
 def neighbors(v: TreeVertex) -> List[TreeVertex]:
     """The p+1 adjacent vertices: parent first, then children in digit order."""
-    p, n, ctx = v.context.p, v.level, v.context
-    r, pe = v.center.numerator, v.center.denominator
-    out = [_trusted(TreeVertex, n - 1, _center(r, pe, n - 1, p), ctx)]
-    # child centers c + digit p^n, over the common denominator of c and p^n
-    den = pe if n >= 0 else max(pe, p ** -n)
-    r, step = r * (den // pe), den * p ** n if n >= 0 else den // p ** -n
-    return out + [_trusted(TreeVertex, n + 1, Fraction(r + digit * step, den), ctx)
-                  for digit in range(p)]
+    n, r, e, ctx = v
+    # child centers c + digit p^n = (r + digit p^(n+e)) / p^e; below level
+    # 0 a zero center's children are digit / p^-n
+    f = e if r else max(0, -n)
+    step = ctx.p ** (n + f)
+    return [_ancestor(v, n - 1), _new(TreeVertex, (n + 1, r, e, ctx))] + [
+        _new(TreeVertex, (n + 1, r + digit * step, f, ctx)) for digit in range(1, ctx.p)]
 
 
 def _lowered(v: TreeVertex, bottom: int) -> List[TreeVertex]:
-    """v and its parents down to level bottom.  At level k the center c =
+    """v and its parents down to level bottom.  At level k the center
     r/p^e is r mod p^(k+e) over p^e: c itself while c < p^k, then reduced
     by one running power of p."""
-    p, ctx, c = v.context.p, v.context, v.center
-    r, pe = c.numerator, c.denominator
-    # top: least level with c < p^top, found from min(0, v.level) as c is
-    # canonical (c < p^level); power = p^(top+e), exact when r > 0
-    top = min(0, v.level)
-    power = pe // p ** -top
+    n, r, e, ctx = v
+    p = ctx.p
+    # top: least level with c < p^top, found from min(0, n) as c is
+    # canonical (c < p^n); power = p^(top+e), exact when r > 0
+    top = min(0, n)
+    power = p ** e // p ** -top
     while r and power <= r:
         top, power = top + 1, power * p
     while power // p > r:
         top, power = top - 1, power // p
-    top = min(top, v.level)  # a zero center is canonical at every level
-    out = [_trusted(TreeVertex, k, c, ctx)
-           for k in range(v.level, max(top, bottom) - 1, -1)]
+    top = min(top, n)  # a zero center is canonical at every level
+    out = [_new(TreeVertex, (k, r, e, ctx)) for k in range(n, max(top, bottom) - 1, -1)]
     for k in range(top - 1, bottom - 1, -1):
         power //= p
         if r and r >= power:
             r %= power
-            c = Fraction(r, pe)
-        out.append(_trusted(TreeVertex, k, c, ctx))
+            e = e if r else 0  # r/p^e stays in lowest terms until it is 0
+        out.append(_new(TreeVertex, (k, r, e, ctx)))
     return out
 
 
@@ -154,19 +166,18 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     """Vertex path from u to v: ascend to the meet level, then descend."""
     d = distance(u, v)
     check_size("geodesic", "vertices", DEFAULT_NODE_CAP, (d + 1,))
-    meet = (u.level + v.level - d) // 2
+    meet = (u[0] + v[0] - d) // 2
     return _lowered(u, meet) + _lowered(v, meet + 1)[::-1]
 
 
 def _toward(u: TreeVertex, v: TreeVertex, k: int) -> TreeVertex:
     """The vertex at distance k from u on the geodesic [u, v], for
-    0 <= k <= d(u, v), without building the path.  The ancestor of
-    (n; c) at level j is (j; c): up to the meet it is u's ancestor
-    (u.level - k; u.center), past it v's ancestor at the matching level."""
+    0 <= k <= d(u, v), without building the path: up to the meet it is
+    u's ancestor at level u.level - k, past it v's at the matching level."""
     meet = _meet_level(u, v)
-    if k <= u.level - meet:
-        return TreeVertex(u.level - k, u.center, u.context)
-    return TreeVertex(2 * meet - u.level + k, v.center, v.context)
+    if k <= u[0] - meet:
+        return _ancestor(u, u[0] - k)
+    return _ancestor(v, 2 * meet - u[0] + k)
 
 
 def _span_vertex(a: int, c: int, shift: int, b: int, d: int, vdet: int,
@@ -179,20 +190,19 @@ def _span_vertex(a: int, c: int, shift: int, b: int, d: int, vdet: int,
     if vc < vd:
         b, d, vd = a, c, vc
     n = vdet - 2 * vd
-    return _trusted(TreeVertex, n, _center(b, d, n, p), context)
+    return _new(TreeVertex, (n, *_center(b, d, n, p), context))
 
 
 def act(g: SL2Matrix, v: TreeVertex) -> TreeVertex:
     """Image vertex under the linear action on lattice classes."""
-    if g.context != v.context:
+    n, r, e, ctx = v
+    if g.context != ctx:
         raise ContextMismatchError("matrix and vertex primes differ")
     a, b, c, d, den = g.scaled
-    p, n = v.context.p, v.level
-    r, pe = v.center.numerator, v.center.denominator
-    e = _val_fraction(pe, p)
+    p, pe = ctx.p, ctx.p ** e
     # the columns of den g p^e [[p^n, r/p^e], [0, 1]], of det den^2 p^(n+2e)
     return _span_vertex(a, c, n + e, a * r + b * pe, c * r + d * pe,
-                        2 * _val_fraction(den, p) + n + 2 * e, v.context)
+                        2 * _val_fraction(den, p) + n + 2 * e, ctx)
 
 
 def canonical_vertex(

@@ -444,9 +444,15 @@ def test_overlong_repfile_number_fails_cleanly(tmp_path, entry):
     # a center of 4304 digits: (9000; -1/3^20) reduces to r/3^20, r < 3^9020
     ["tree", "ball", "--prime", "3", "--center", "(9000; -1/3486784401)",
      "--radius", "0"],
+    # every vertex of an axis window is an ancestor of one of its two ends,
+    # so the window is refused from its ends, before its 99997 vertices
+    # are built or the translation length is printed
+    ["tree", "axis", "REP", "b a", "--window", "49998"],
 ])
-def test_vertex_past_4300_digits_fails_cleanly(capsys, argv):
-    code, out, err = run(capsys, argv)
+def test_vertex_past_4300_digits_fails_cleanly(capsys, rep_path, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, [rep_path if a == "REP" else a for a in argv])
+    assert time.perf_counter() - start < 3
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "4300 digits" in err
     assert err.count("\n") == 1

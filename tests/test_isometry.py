@@ -209,6 +209,19 @@ def test_far_axis_window_is_fast():
         assert distance(seg.vertices[i], seg.vertices[i + 1]) == 1
 
 
+def test_long_axis_window_is_linear():
+    # 40001 vertices whose centers grow along the window: one running power
+    # of p reduces them (0.4-0.8 s on a 2-core host); recomputing p^(k+e)
+    # at each reduction took 2.1-3.3 s there
+    rep = unbounded_irreducible_rep(PrimeContext(3))
+    g = rep.evaluate(rep.presentation.parse("b a"))
+    start = time.perf_counter()
+    seg = axis_segment(g, 20_000)
+    assert time.perf_counter() - start < 1.2
+    assert len(seg.vertices) == 40_001
+    assert act(g, seg.vertices[20_000]) == seg.vertices[20_002]
+
+
 def test_axis_segment_cap():
     # 2 * ceil(window / 2) * shift + 1 vertices, refused before any is built
     for window, count in ((50_000, 100_001), (10**9, 2_000_000_001)):

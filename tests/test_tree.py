@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -413,6 +414,68 @@ def test_kernel_returns_canonical_vertices(case):
         assert_canonical(axis_segment(g, 3).vertices)
     else:
         assert_canonical([fixed_vertex(g)])
+
+
+@st.composite
+def vertex_pairs(draw):
+    """Two vertices, each with its own PrimeContext, of one prime more often
+    than not; half the time the second has the first's level and center
+    moved by a multiple of q^level, q its prime."""
+    p = draw(st.sampled_from(PRIMES))
+    q = p if draw(st.booleans()) else draw(st.sampled_from(PRIMES))
+    level = draw(st.integers(-4, 4))
+    center = draw(rationals(p, draw(st.booleans()), bound=500))
+    u = TreeVertex(level, center, PrimeContext(p))
+    if draw(st.booleans()):
+        center += draw(st.integers(-3, 3)) * Fraction(q) ** level
+    else:
+        level, center = draw(st.integers(-4, 4)), draw(rationals(q, draw(st.booleans()), bound=500))
+    return u, TreeVertex(level, center, PrimeContext(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pairs())
+def test_vertex_equality_hash_and_stored_form(pair):
+    u, v = pair
+    same = (u.level, u.center, u.context.p) == (v.level, v.center, v.context.p)
+    assert (u == v) is same and (u != v) is not same
+    if same:  # unequal vertices may still share a hash, as -1 and -2 do
+        assert hash(u) == hash(v)
+    for w in pair:
+        n, r, e, ctx = w  # the stored center r / p^e, in lowest terms
+        p = ctx.p
+        assert e >= 0 and (r % p or e == 0) and (r or e == 0)
+        c = w.center
+        assert type(c) is Fraction and c.denominator == p ** e
+        assert 0 <= c < Fraction(p) ** n
+        assert TreeVertex(n, c, PrimeContext(p)) == w == pickle.loads(pickle.dumps(w))
+        for name in ("level", "center", "context"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 0)
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    # the kernel reads and builds the integers (level, r, e): counted at
+    # Fraction.__new__, a seeded corpus of its calls constructs no
+    # Fraction in tree.py or anywhere else (reading .center builds one)
+    rng = random.Random(2211)
+    cases = [(random_sl2(rng, PrimeContext(p)), random_vertex(rng, PrimeContext(p)))
+             for p in PRIMES for _ in range(25)]
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for g, v in cases:
+        w = act(g, v)
+        neighbors(w), distance(v, w), geodesic(v, w), tree_ball(v, 2), canonical_vertex(g)
+        axis_segment(g, 3) if translation_length(g) else fixed_vertex(g)
+    assert built == []
+    cases[0][1].center  # a read builds one, so the counter counts
+    assert len(built) == 1
 
 
 def test_kernel_corpus_frozen():
