@@ -26,9 +26,8 @@ from .errors import (
 )
 from .field import PrimeContext, ValuedRational
 from .isometry import _projection, rational_eigenlines
-from .matrices import (
-    IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul)
-from .traces import FundamentalTraceVector, fundamental_traces, subset_keys
+from .matrices import IDENTITY, SL2Matrix, checked, letter_table, scaled_mul
+from .traces import FundamentalTraceVector, fundamental_traces, subset_products
 from .tree import TreeVertex, act
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
@@ -41,24 +40,22 @@ Line = Tuple[int, int]
 class Representation:
     """A presentation together with one SL(2) matrix per generator.
 
-    Relators are checked to evaluate to the exact identity matrix, so a
-    constructed Representation really is a homomorphism.  Its scaled
-    letter table is built once, and the frozen object keeps it valid.
+    The matrices are stored once, in presentation order, beside their
+    scaled letter table.  Relators are checked to evaluate to the exact
+    identity, so a constructed Representation really is a homomorphism.
     """
 
     presentation: Presentation
-    assignment: Tuple[Tuple[str, SL2Matrix], ...]
+    matrices: Tuple[SL2Matrix, ...]
 
     def __init__(self, presentation: Presentation, assignment):
-        pairs = tuple(sorted(dict(assignment).items()))
-        names = tuple(sorted(presentation.generators))
-        if tuple(k for k, _ in pairs) != names:
-            raise ValidationError(
-                f"assignment names {[k for k, _ in pairs]} do not match "
-                f"generators {list(presentation.generators)}"
-            )
+        by_name = dict(assignment)
+        if by_name.keys() != set(presentation.generators):
+            raise ValidationError(f"assignment names {sorted(by_name, key=str)} do not match "
+                                  f"generators {list(presentation.generators)}")
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "assignment", pairs)
+        object.__setattr__(self, "matrices",
+                           tuple(by_name[name] for name in presentation.generators))
         object.__setattr__(self, "_letters", letter_table(self.matrices))
         for relator in presentation.relators:
             a, b, c, d, den = checked(scaled_image(relator, self._letters))
@@ -70,22 +67,13 @@ class Representation:
 
     @property
     def context(self) -> PrimeContext:
-        return self.assignment[0][1].context
-
-    @property
-    def matrices(self) -> List[SL2Matrix]:
-        by_name = dict(self.assignment)
-        return [by_name[name] for name in self.presentation.generators]
+        return self.matrices[0].context
 
     def matrix(self, name: str) -> SL2Matrix:
-        return dict(self.assignment)[name]
+        return self.matrices[self.presentation.name_index[name] - 1]
 
     def evaluate(self, w: Word) -> SL2Matrix:
         return SL2Matrix._of(scaled_image(w, self._letters), self.context)
-
-    def _generators(self) -> List[Scaled]:
-        """The scaled images of the generators, in presentation order."""
-        return [self._letters[i] for i in range(1, self.presentation.rank + 1)]
 
     def fundamental(self) -> FundamentalTraceVector:
         return fundamental_traces(self.matrices)
@@ -93,7 +81,8 @@ class Representation:
     def conjugated_by(self, h: SL2Matrix) -> "Representation":
         return Representation(
             self.presentation,
-            {name: m.conjugated_by(h) for name, m in self.assignment},
+            zip(self.presentation.generators,
+                (m.conjugated_by(h) for m in self.matrices)),
         )
 
 
@@ -106,10 +95,8 @@ def is_bounded(rep: Representation) -> Tuple[bool, Optional[Word]]:
     v(A + D) < v(den): the first of all increasing products, since
     subset_keys lists the longer ones after them.
     """
-    table, v = rep._letters, rep.context.valuation
-    images = {(): IDENTITY}
-    for s in subset_keys(rep.presentation.rank, 2):
-        images[s] = a, _, _, d, den = checked(scaled_mul(images[s[:-1]], table[s[-1]]))
+    v = rep.context.valuation
+    for s, (a, _, _, d, den) in subset_products(rep._letters, rep.presentation.rank, 2):
         if v(a + d) < v(den):
             return False, Word(s)
     return True, None
@@ -164,7 +151,7 @@ def is_reducible_over_rationals(
     head = next((m for m in rep.matrices if not m.is_central()), None)
     if head is None:
         return True, (1, 0)
-    gens = rep._generators()
+    gens = [m.scaled for m in rep.matrices]
     for x, y in rational_eigenlines(head).lines:
         if all((a * x + b * y) * y == (c * x + d * y) * x for a, b, c, d, _ in gens):
             return True, (x, y)
@@ -188,7 +175,7 @@ def algebra_dimension(rep: Representation) -> int:
             basis.append((vec, lead))
         return lead is not None
 
-    gens = rep._generators()
+    gens = [m.scaled for m in rep.matrices]
     insert(IDENTITY)
     worklist = [IDENTITY]
     while worklist and len(basis) < 4:
@@ -232,7 +219,7 @@ def _character_exponents(
         (name, 2 * (v(a * x + b * y) - v(x) if x else v(c * x + d * y) - v(y))
          - 2 * v(den))
         for name, (a, b, c, d, den) in zip(rep.presentation.generators,
-                                           rep._generators()))
+                                           (m.scaled for m in rep.matrices)))
 
 
 def classify(rep: Representation) -> ClassificationReport:

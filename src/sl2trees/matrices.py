@@ -26,7 +26,7 @@ IDENTITY: Scaled = (1, 0, 0, 1, 1)
 class SL2Matrix:
     """Exact 2x2 matrix with determinant 1, tied to one prime context.
 
-    The constructor validates the entries, scales them once and checks
+    The constructor scales the entries once (scaled_rows) and checks
     the determinant as A D - B C == den^2; every other matrix (a
     product, a power, an adjugate or a negation) is made by _of from a
     scaled tuple.
@@ -35,14 +35,10 @@ class SL2Matrix:
     __slots__ = ("scaled", "context")
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]], context: PrimeContext):
-        (a, b), (c, d) = rows
-        entries = [_coerce(x) for x in (a, b, c, d)]
-        den = math.lcm(*(x.denominator for x in entries))
-        a, b, c, d = (x.numerator * (den // x.denominator) for x in entries)
+        a, b, c, d, den = self.scaled = scaled_rows(rows)
         if a * d - b * c != den * den:
             raise DeterminantNotOneError(
                 f"det = {Fraction(a * d - b * c, den * den)}, expected 1")
-        self.scaled: Scaled = (a, b, c, d, den)
         self.context = context
 
     @classmethod
@@ -130,6 +126,14 @@ def letter_table(matrices: Sequence[SL2Matrix]) -> Dict[int, Scaled]:
         a, b, c, d, den = table[i] = m.scaled
         table[-i] = (d, -b, -c, a, den)
     return table
+
+
+def scaled_rows(rows: Sequence[Sequence[RationalLike]]) -> Scaled:
+    """A 2x2 array of rationals over the lcm den of its entries' denominators."""
+    (a, b), (c, d) = rows
+    entries = [_coerce(x) for x in (a, b, c, d)]
+    den = math.lcm(*(x.denominator for x in entries))
+    return (*(x.numerator * (den // x.denominator) for x in entries), den)
 
 
 def scaled_mul(m: Scaled, n: Scaled) -> Scaled:

@@ -6,7 +6,7 @@ shortlex order (words.letter_children) in one loop: one exact 2x2
 integer product per inner word on its prefix's image, only the trace for
 a word of the last level, denominators kept only as valuations, and no
 final sort.  It yields (text, length) rows as they come, for write_tsv
-to stream.
+to stream; spectrum runs the same loop with letter tuples as labels.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .field import _val_fraction
 from .isometry import translation_length
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk, check_ball,
-    letter_children, word_texts)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, check_ball, letter_children,
+    word_texts, word_to_text)
 
 Row = Tuple[str, int]  # a word's text and length
 _CHUNK = 4096  # rows formatted per write
@@ -60,31 +60,40 @@ class _Memo(dict):
 def spectrum_rows(rep: Representation, max_len: int,
                   max_words: int = DEFAULT_WORD_CAP) -> Iterator[Row]:
     """(text, length) for every reduced word with |w| <= max_len, in
-    shortlex order, each as the level loop reaches it; no Word or letter
-    tuple is built.  The size is checked at the call, before the first row.
+    shortlex order, from _level_rows: a word's text is its prefix's plus
+    one name, and no Word or letter tuple is built."""
+    names = {x: word_to_text(Word((x,)), rep.presentation) for x in rep._letters}
+    return _level_rows(rep, max_len, max_words, "1", "",
+                       lambda last, x: f" {names[x]}" if last else names[x])
+
+
+def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
+                label) -> Iterator[Tuple[object, int]]:
+    """(label, length) for every reduced word with |w| <= max_len, in
+    shortlex order, each as the level loop reaches it.  The empty word's
+    label is empty; a child's is its parent's (root at the empty word) plus
+    label(last, x), x its letter and last its parent's (0 at the root).
+    The size is checked at the call, before the first row.
 
     A word's image is its prefix's times one letter, as integer matrices
-    whose denominators are tracked only by their valuation v, and its
-    text is its prefix's plus one name.  Words of length max_len need
-    only the trace.  The length -2 min(0, v(tr) - v) is 2(v - k) with
-    p^k = gcd(tr, p^v), both powers memoized per call.
+    whose denominators are tracked only by their valuation v.  Words of
+    length max_len need only the trace.  The length -2 min(0, v(tr) - v)
+    is 2(v - k) with p^k = gcd(tr, p^v), both powers memoized per call.
     """
     check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p, letters = rep.context.p, rep._letters
-    names = dict(zip(letters, word_texts(((x,) for x in letters), rep.presentation)))
     images = {x: (a, b, c, d, _val_fraction(den, p))
               for x, (a, b, c, d, den) in letters.items()}
     # per last letter (0 for the empty word): each child letter with its
-    # image, denominator valuation and the text it appends to its parent's
-    children = {last: tuple((x, *images[x], f" {names[x]}" if last else names[x])
-                            for x in xs)
+    # image, denominator valuation and the label it appends to its parent's
+    children = {last: tuple((x, *images[x], label(last, x)) for x in xs)
                 for last, xs in letter_children(rep.presentation.rank).items()}
     powers = _Memo(lambda v: p ** v)
     exponents = _Memo(lambda g: _val_fraction(g, p))
 
     def rows():
-        yield "1", 0
-        level = [(1, 0, 0, 1, 0, "", 0)]
+        yield empty, 0
+        level = [(1, 0, 0, 1, 0, root, 0)]
         for _ in range(max_len - 1):
             grown = []
             level.reverse()
@@ -107,12 +116,9 @@ def spectrum_rows(rep: Representation, max_len: int,
 def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
-    the rows of spectrum_rows, each paired with its word as ball_walk
-    reaches it, so no list of the ball's words is held beside them."""
-    rows = spectrum_rows(rep, max_len, max_words)
-    walk = ball_walk(rep.presentation.rank, max_len, None, lambda state, x: None)
-    entries = tuple((_trusted_word(u), ell)
-                    for (u, _), (_, ell) in zip(walk, rows, strict=True))
+    spectrum_rows's level loop, with each word's letters as its label."""
+    rows = _level_rows(rep, max_len, max_words, (), (), lambda last, x: (x,))
+    entries = tuple((_trusted_word(u), ell) for u, ell in rows)
     return LengthSpectrum(rep.presentation, rep.context.p, max_len, entries,
                           rep.fundamental())
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, UnknownGeneratorError, ValidationError
-from .matrices import IDENTITY, SL2Matrix, letter_table, scaled_mul
+from .matrices import IDENTITY, SL2Matrix, Scaled, checked, letter_table, scaled_mul
 from .words import Word, _cyclic_reduce_letters
 
 VarKey = Tuple[int, ...]        # strictly increasing generator indices
@@ -351,12 +351,20 @@ def subset_keys(rank: int, largest: Optional[int] = None) -> List[VarKey]:
     return [s for k in range(1, size + 1) for s in itertools.combinations(range(1, rank + 1), k)]
 
 
+def subset_products(table: Dict[int, Scaled], rank: int,
+                    largest: Optional[int] = None) -> Iterator[Tuple[VarKey, Scaled]]:
+    """(s, the product of s's letters in table) for each key of subset_keys(rank,
+    largest), lazily: one scaled_mul on its prefix's, its determinant checked."""
+    images = {(): IDENTITY}
+    for s in subset_keys(rank, largest):
+        images[s] = m = checked(scaled_mul(images[s[:-1]], table[s[-1]]))
+        yield s, m
+
+
 def fundamental_traces(matrices: Sequence[SL2Matrix]) -> FundamentalTraceVector:
     """Traces of the increasing products of the generator matrices."""
     if not matrices:
         raise ValidationError("need at least one generator matrix")
-    table, images, entries = letter_table(matrices), {(): IDENTITY}, {}
-    for s in subset_keys(len(matrices)):
-        images[s] = scaled_mul(images[s[:-1]], table[s[-1]])
-        entries[s] = SL2Matrix._of(images[s], matrices[0].context).trace()
-    return FundamentalTraceVector(len(matrices), entries)
+    products = subset_products(letter_table(matrices), len(matrices))
+    return FundamentalTraceVector(
+        len(matrices), {s: Fraction(a + d, den) for s, (a, _, _, d, den) in products})

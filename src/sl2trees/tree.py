@@ -9,7 +9,6 @@ build the integers (n, r, e) alone, and `center` makes a Fraction on reading.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import List, Tuple, Union
 
 from .errors import ContextMismatchError, SingularMatrixError, ValidationError
 from .field import PrimeContext, _coerce, _val_fraction
-from .matrices import SL2Matrix
+from .matrices import SL2Matrix, scaled_rows
 from .words import check_size, sphere_sizes
 
 DEFAULT_NODE_CAP = 100_000
@@ -35,13 +34,6 @@ def _center(b: int, d: int, n: int, p: int) -> Tuple[int, int]:
     r = b * pow(d // p ** e, -1, modulus) % modulus
     k = min(e, _val_fraction(r, p))  # math.inf for r = 0, when k = e
     return (r // p ** k, e - k) if k else (r, e)
-
-
-def _trusted(cls, *values):
-    """A frozen dataclass instance whose invariant holds by construction."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 class TreeVertex(tuple):
@@ -210,35 +202,36 @@ def canonical_vertex(
 ) -> TreeVertex:
     """Canonical (level, center) of the lattice spanned by m's columns.
 
-    Accepts any invertible exact 2x2 matrix, scaled to integers (the
-    class is the same) for column operations over the local integers.
+    An SL2Matrix gives act(m, (0; 0)).  A plain matrix may be any
+    invertible exact 2x2 array: it is scaled to integers (the class is
+    the same) for column operations over the local integers.
     """
-    if isinstance(m, SL2Matrix):  # its scaled tuple has det den^2
-        a, b, c, d, den = m.scaled
-        return _span_vertex(a, c, 0, b, d, 2 * _val_fraction(den, m.context.p),
-                            m.context)
+    if isinstance(m, SL2Matrix):
+        return act(m, _new(TreeVertex, (0, 0, 0, m.context)))
     if context is None:
         raise ValidationError("plain matrix input needs an explicit context")
-    (a0, b0), (c0, d0) = m
-    entries = [_coerce(x) for x in (a0, b0, c0, d0)]
-    den = math.lcm(*(x.denominator for x in entries))
-    a, b, c, d = (x.numerator * (den // x.denominator) for x in entries)
+    a, b, c, d, _ = scaled_rows(m)
     det = a * d - b * c
     if det == 0:
         raise SingularMatrixError("lattice basis must be invertible")
     return _span_vertex(a, c, 0, b, d, _val_fraction(det, context.p), context)
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    """An adjacent vertex pair, oriented as discovered."""
+class TreeEdge(tuple):
+    """An adjacent vertex pair, the immutable tuple (x, y), oriented as
+    discovered; the constructor checks that d(x, y) = 1."""
 
-    x: TreeVertex
-    y: TreeVertex
+    __slots__ = ()
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
 
-    def __post_init__(self):
-        if distance(self.x, self.y) != 1:
+    def __new__(cls, x: TreeVertex, y: TreeVertex):
+        if distance(x, y) != 1:
             raise ValidationError("edge endpoints must be at distance 1")
+        return _new(cls, (x, y))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 def edge_fixed_by(g: SL2Matrix, e: TreeEdge) -> bool:
@@ -274,5 +267,5 @@ def tree_ball(
     for _ in range(radius):
         frontier = [(w, u) for u, up in frontier for w in neighbors(u) if w != up]
         vertices.extend(w for w, _ in frontier)
-        edges.extend(_trusted(TreeEdge, u, w) for w, u in frontier)
+        edges.extend(_new(TreeEdge, (u, w)) for w, u in frontier)
     return TreeBall(center, radius, tuple(vertices), tuple(edges))

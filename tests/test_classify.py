@@ -25,9 +25,11 @@ from sl2trees import (
     commutator_trace_scan,
     conjugacy_test,
     fixed_lattice_certificate,
+    fundamental_traces,
     is_bounded,
     is_reducible_over_rationals,
     parse_word,
+    subset_keys,
 )
 
 from _oracles import bounded_by_all_subsets, saturated_lattice, val_fraction
@@ -58,6 +60,8 @@ def test_assignment_validation():
         Representation(Presentation.free(2), {"a": rot})
     with pytest.raises(ValidationError):
         Representation(Presentation.free(2), {"a": rot, "x": rot})
+    with pytest.raises(ValidationError, match=r"names \[1, 'a'\]"):
+        Representation(Presentation.free(2), {1: rot, "a": rot})
     with pytest.raises(ContextMismatchError):
         Representation(
             Presentation.free(2),
@@ -218,6 +222,39 @@ def test_is_bounded_matches_the_full_subset_scan(rank, p, seed, integral):
     flag, witness = is_bounded(rep)
     rows = [((m.a, m.b), (m.c, m.d)) for m in rep.matrices]
     assert (flag, witness and witness.letters) == bounded_by_all_subsets(rows, p)
+
+
+def test_is_bounded_witness_is_the_first_negative_fundamental_trace():
+    # is_bounded and fundamental_traces read one route of subset products:
+    # the witness is the first key of subset_keys(rank, 2) whose trace has
+    # negative valuation, and there is none exactly when it is bounded
+    rng, seen = random.Random(5507), set()
+    for _ in range(150):
+        rank, ctx = rng.randint(2, 4), PrimeContext(rng.choice((2, 3, 5)))
+        mats = [random_integral_sl2(rng, ctx) if rng.random() < 0.3
+                else random_sl2(rng, ctx, steps=2) for _ in range(rank)]
+        rep = Representation(Presentation.free(rank), dict(zip("abcd", mats)))
+        traces = fundamental_traces(rep.matrices)
+        first = next((s for s in subset_keys(rank, 2) if ctx.valuation(traces[s]) < 0),
+                     None)
+        flag, witness = is_bounded(rep)
+        assert flag == (first is None)
+        assert (witness and witness.letters) == first
+        seen.add(len(first or ()))
+    assert seen == {0, 1, 2}
+
+
+def test_representation_stores_matrices_in_presentation_order():
+    ctx = CTX
+    x, y = SL2Matrix(((3, 0), (0, Fraction(1, 3))), ctx), SL2Matrix(((0, 1), (-1, 0)), ctx)
+    presentation = Presentation.explicit(["y", "x"], [])
+    rep = Representation(presentation, [("x", x), ("y", y)])
+    assert rep.matrices == (y, x)
+    assert rep.matrix("x") is x and rep.matrix("y") is y
+    assert rep == Representation(presentation, {"y": y, "x": x})
+    assert hash(rep) == hash(Representation(presentation, {"y": y, "x": x}))
+    assert rep.evaluate(Word((1, -2))) == y * x.inverse()
+    assert not hasattr(rep, "assignment")
 
 
 # -- reducibility and the algebra ----------------------------------------

@@ -1,7 +1,9 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2trees import (
     PrimeContext,
@@ -9,6 +11,7 @@ from sl2trees import (
     Presentation,
     Representation,
     SL2Matrix,
+    Sl2TreesError,
     ValidationError,
     load_representation,
     parse_representation,
@@ -51,7 +54,7 @@ def test_round_trip_free_with_names(tmp_path):
     save_representation(rep, str(path))
     back = load_representation(str(path))
     assert back.presentation == rep.presentation
-    assert back.assignment == rep.assignment
+    assert back.matrices == rep.matrices
     data = json.loads(path.read_text())
     assert data["group"] == {
         "kind": "free", "rank": 2, "generators": ["a", "b"]}
@@ -69,7 +72,7 @@ def test_round_trip_surface(tmp_path):
     back = load_representation(str(path))
     assert back.presentation.kind == "surface"
     assert back.presentation.genus == 2
-    assert back.assignment == rep.assignment
+    assert back.matrices == rep.matrices
 
 
 def test_round_trip_explicit(tmp_path):
@@ -84,7 +87,7 @@ def test_round_trip_explicit(tmp_path):
     assert back.presentation.kind == "explicit"
     assert [back.presentation.text(r) for r in back.presentation.relators] == [
         "x y x' y'"]
-    assert back.assignment == rep.assignment
+    assert back.matrices == rep.matrices
 
 
 def test_unknown_top_level_field_rejected():
@@ -201,5 +204,93 @@ def test_to_data_matches_parse():
     rep = sl2z_pair(PrimeContext(2))
     data = representation_to_data(rep)
     again = parse_representation(data)
-    assert again.assignment == rep.assignment
+    assert again.matrices == rep.matrices
     assert again.presentation == rep.presentation
+
+
+# -- fuzzing the document parser -----------------------------------------
+
+MATRICES = ([["3", "0"], ["0", "1/3"]], [["1", "1"], ["1", "2"]],
+            [["0", "1"], ["-1", "0"]], [[1, 0], [0, 1]], [["2", "3"], ["1", "2"]])
+BASES = (
+    doc(),
+    doc(prime=5, group={"kind": "free", "rank": 3, "generators": ["x", "y", "z"]},
+        generators={"x": MATRICES[0], "y": MATRICES[1], "z": MATRICES[4]}),
+    doc(group={"kind": "surface", "genus": 1},
+        generators={"a1": MATRICES[1], "b1": MATRICES[1]}),
+    doc(prime=2, group={"kind": "surface", "genus": 2},
+        generators={"a1": MATRICES[0], "b1": MATRICES[2], "a2": MATRICES[2],
+                    "b2": MATRICES[0]}),
+    doc(group={"kind": "explicit", "generators": ["x", "y"],
+               "relators": ["x y x' y'", "(x y')^2 y x'^2 y"]},
+        generators={"x": MATRICES[3], "y": MATRICES[2]}),
+)
+NAMES = st.sampled_from(("a", "b", "c", "x", "y", "z", "a1", "b1", "a2", "b2",
+                         "A", "1", "", "a'", "a b", "primes", "rank"))
+WORDS = st.sampled_from(("x y x' y'", "x", "x' y", "x^2", "x^-3 y", "(x y)^2", "x^",
+                         "(", "z", "1", "", "x'' y", "x^999999999", "y x y' x'"))
+VALUES = NAMES | WORDS | st.sampled_from(MATRICES) | st.sampled_from((
+    None, True, 0, -1, 1, 2, 3, 4, 27, 2.0, 1.5, "2", [], [2], {}, "1/0", "1/-3",
+    "03", "-0", "7/3", "1" * 5000, 10 ** 5, "free", "surface", "explicit", "braid",
+    [[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1]], [[2, 0], [0, 2]], ["x", "x"],
+    ["a", "b", "c"], ["x y x' y'", 3]))
+
+
+def _paths(node, path=()):
+    """The path of every value inside a decoded JSON document."""
+    yield path
+    for key in sorted(node) if isinstance(node, dict) else (
+            range(len(node)) if isinstance(node, list) else ()):
+        yield from _paths(node[key], path + (key,))
+
+
+def _mutate(document, draw):
+    """One random edit of a representation document, in place: a value
+    replaced, deleted, duplicated or renamed anywhere, or the group made
+    explicit on the matrices' own names with drawn relators."""
+    op = draw(st.sampled_from(("set", "set", "delete", "insert", "rename", "explicit")))
+    group, gens = document.get("group"), document.get("generators")
+    if op == "explicit":
+        if isinstance(group, dict) and isinstance(gens, dict) and gens:
+            names = sorted(gens)
+            power = st.sampled_from(("", "'", "^2", "^-1", "'^3"))
+            word = st.lists(st.tuples(st.sampled_from(names), power).map("".join),
+                            min_size=1, max_size=4).map(" ".join)
+            group.clear()
+            group.update(kind="explicit", generators=names,
+                         relators=draw(st.lists(word | WORDS, max_size=3)))
+        return
+    *head, key = draw(st.sampled_from(list(_paths(document))[1:]))
+    parent = document
+    for k in head:
+        parent = parent[k]
+    value = copy.deepcopy(parent[key] if op == "insert" and draw(st.booleans())
+                          else draw(VALUES))  # a duplicate or a new value
+    if op == "set":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif op == "insert" and isinstance(parent, list):
+        parent.insert(key, value)
+    elif isinstance(parent, dict):
+        parent[draw(NAMES)] = parent.pop(key) if op == "rename" else value
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_mutated_documents_parse_or_fail_typed(data):
+    """Every mutated document gives a Representation or an Sl2TreesError:
+    wrong kinds and ranks, missing, duplicate and extra generator names,
+    bad entries and bad relators never raise anything else."""
+    document = copy.deepcopy(data.draw(st.sampled_from(BASES)))
+    for _ in range(data.draw(st.integers(0, 4))):
+        _mutate(document, data.draw)
+    try:
+        rep = parse_representation(document)
+    except Sl2TreesError:
+        return
+    assert isinstance(rep, Representation)
+    assert rep.matrices == tuple(rep.matrix(n) for n in rep.presentation.generators)
+    one = SL2Matrix.identity(rep.context)
+    assert all(rep.evaluate(r) == one for r in rep.presentation.relators)
+    assert parse_representation(representation_to_data(rep)) == rep

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -112,6 +113,27 @@ def test_spectrum_rows_stream_the_spectrum():
         write_tsv(out, rep.presentation, CTX.p, max_len, rep.fundamental(),
                   spectrum_rows(rep, max_len))
         assert out.getvalue() == to_tsv(spec)
+
+
+def test_spectrum_walks_the_ball_once(monkeypatch):
+    # spectrum() is spectrum_rows's level loop with letter tuples as
+    # labels: no module's ball_walk is called beside it
+    def refuse(*args):
+        raise AssertionError("spectrum() walked the ball a second time")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sl2trees") and hasattr(module, "ball_walk"):
+            monkeypatch.setattr(module, "ball_walk", refuse)
+    rng = random.Random(6605)
+    a, b = random_noncommuting_pair(rng, CTX, steps=3)
+    genus2 = Representation(
+        Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a})
+    free2 = unbounded_irreducible_rep(CTX)
+    for rep, max_len in ((free2, 0), (free2, 1), (free2, 5), (genus2, 3)):
+        spec = spectrum(rep, max_len)
+        assert all(type(w) is Word for w, _ in spec.entries)
+        assert [(word_to_text(w, rep.presentation), ell) for w, ell in spec.entries] == \
+            list(spectrum_rows(rep, max_len))
 
 
 @st.composite

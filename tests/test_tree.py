@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import random
@@ -103,15 +104,17 @@ def test_canonical_vertex_singular():
 
 
 def test_canonical_vertex_of_a_matrix_is_its_image_of_the_origin():
-    # an SL2Matrix is read off its scaled tuple, plain rows off Fractions
+    # an SL2Matrix goes through act, plain rows through the scaling that
+    # SL2Matrix's constructor uses; the two routes meet at _span_vertex
     rng = random.Random(2209)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         ctx = PrimeContext(p)
         origin = TreeVertex(0, 0, ctx)
         for _ in range(60):
             g = random_sl2(rng, ctx)
-            assert canonical_vertex(g) == canonical_vertex(g.rows(), ctx)
-            assert canonical_vertex(g) == act(g, origin)
+            v = canonical_vertex(g)
+            assert type(v) is TreeVertex
+            assert v == act(g, origin) == canonical_vertex(g.rows(), ctx)
 
 
 def test_canonical_vertex_lattice_class_invariance():
@@ -268,6 +271,23 @@ def test_edge_validation_and_fixing():
     assert edge_fixed_by(SL2Matrix.identity(CTX), e)
     with pytest.raises(ValidationError):
         TreeEdge(TreeVertex(0, 0, CTX), TreeVertex(2, 0, CTX))
+
+
+def test_edges_are_vertex_pairs_that_copy_and_pickle():
+    for p in (2, 3, 7):
+        ctx = PrimeContext(p)
+        ball = tree_ball(TreeVertex(1, Fraction(1, p), ctx), 2)
+        for e in ball.edges:
+            assert type(e) is TreeEdge and isinstance(e, tuple)
+            assert e == (e.x, e.y) and hash(e) == hash((e.x, e.y))
+            assert distance(*e) == 1
+        for edges in (copy.deepcopy(ball.edges), copy.copy(ball.edges),
+                      pickle.loads(pickle.dumps(ball.edges))):
+            assert edges == ball.edges
+            assert all(type(e) is TreeEdge and type(e.x) is TreeVertex for e in edges)
+        assert copy.deepcopy(ball) == ball
+    with pytest.raises(AttributeError):
+        ball.edges[0].x = ball.edges[0].y
 
 
 def test_ball_vertex_count_formula():
