@@ -5,7 +5,7 @@ its translation length.  spectrum_rows walks the ball level by level in
 shortlex order (words.letter_children) in one loop: one exact 2x2
 integer product per inner word on its prefix's image, only the trace for
 a word of the last level, denominators kept only as valuations, and no
-final sort.  It yields (text, length) rows as they come, for write_tsv
+final sort.  It yields finished TSV lines as they come, for write_tsv
 to stream; spectrum runs the same loop with letter tuples as labels.
 """
 
@@ -15,6 +15,7 @@ import io
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator, TextIO, Tuple
 
 from .classify import Representation
@@ -25,8 +26,7 @@ from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, check_ball, letter_children,
     word_texts, word_to_text)
 
-Row = Tuple[str, int]  # a word's text and length
-_CHUNK = 4096  # rows formatted per write
+_CHUNK = 4096  # rows joined per write
 
 
 def length_of(rep: Representation, w: Word) -> int:
@@ -58,27 +58,29 @@ class _Memo(dict):
 
 
 def spectrum_rows(rep: Representation, max_len: int,
-                  max_words: int = DEFAULT_WORD_CAP) -> Iterator[Row]:
-    """(text, length) for every reduced word with |w| <= max_len, in
-    shortlex order, from _level_rows: a word's text is its prefix's plus
-    one name, and no Word or letter tuple is built."""
+                  max_words: int = DEFAULT_WORD_CAP) -> Iterator[str]:
+    """The TSV line "text\tlength\n" of every reduced word with |w| <=
+    max_len, in shortlex order, from _level_rows: a word's text is its
+    prefix's plus one name, and no Word or letter tuple is built."""
     names = {x: word_to_text(Word((x,)), rep.presentation) for x in rep._letters}
-    return _level_rows(rep, max_len, max_words, "1", "",
-                       lambda last, x: f" {names[x]}" if last else names[x])
+    return _level_rows(rep, max_len, max_words, "1", "", "\t{}\n".format,
+                       lambda last, x: f" {names[x]}" if last else names[x], add)
 
 
 def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
-                label) -> Iterator[Tuple[object, int]]:
-    """(label, length) for every reduced word with |w| <= max_len, in
-    shortlex order, each as the level loop reaches it.  The empty word's
+                cell, label, row) -> Iterator:
+    """row(label, cell(length)) for every reduced word with |w| <= max_len,
+    in shortlex order, each as the level loop reaches it.  The empty word's
     label is empty; a child's is its parent's (root at the empty word) plus
     label(last, x), x its letter and last its parent's (0 at the root).
     The size is checked at the call, before the first row.
 
     A word's image is its prefix's times one letter, as integer matrices
     whose denominators are tracked only by their valuation v.  Words of
-    length max_len need only the trace.  The length -2 min(0, v(tr) - v)
-    is 2(v - k) with p^k = gcd(tr, p^v), both powers memoized per call.
+    length max_len need only the trace; a leaf P x' right after its sibling
+    P x takes tr(P) tr(x) - tr(P x), as x' is stored as adj(x) and S +
+    adj(S) = tr(S) I.  The length -2 min(0, v(tr) - v) is 2(v - k) with
+    p^k = gcd(tr, p^v); p^v and the cell of each (v, p^k) are memoized.
     """
     check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p, letters = rep.context.p, rep._letters
@@ -88,11 +90,17 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
     # image, denominator valuation and the label it appends to its parent's
     children = {last: tuple((x, *images[x], label(last, x)) for x in xs)
                 for last, xs in letter_children(rep.presentation.rank).items()}
-    powers = _Memo(lambda v: p ** v)
-    exponents = _Memo(lambda g: _val_fraction(g, p))
+    # at the leaves: a child x, its trace and the label of the x' after it
+    leaves = {}
+    for last, xs in children.items():
+        named = {x: name for x, *_, name in xs}
+        leaves[last] = tuple((*child, child[0] + child[3], x > 0 and named.get(-x))
+                             for x, *child in xs if x > 0 or -x not in named)
+    by_v = _Memo(lambda v: (p ** v,  # and a memo of each p^k's cell
+                            _Memo(lambda g: cell(2 * (v - _val_fraction(g, p))))))
 
     def rows():
-        yield empty, 0
+        yield row(empty, cell(0))
         level = [(1, 0, 0, 1, 0, root, 0)]
         for _ in range(max_len - 1):
             grown = []
@@ -102,13 +110,17 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
                 for x, e, f, g, h, vl, name in children[last]:
                     ae, dh, w, text = a * e + b * g, c * f + d * h, v + vl, t + name
                     grown.append((ae, a * f + b * h, c * e + d * g, dh, w, text, x))
-                    yield text, 2 * (w - exponents[gcd(ae + dh, powers[w])])
+                    pw, cells = by_v[w]
+                    yield row(text, cells[gcd(ae + dh, pw)])
             level = grown
         for a, b, c, d, v, t, last in level if max_len else ():  # leaves
-            for _, e, f, g, h, vl, name in children[last]:
-                w = v + vl
-                yield t + name, 2 * (w - exponents[
-                    gcd(a * e + b * g + c * f + d * h, powers[w])])
+            tp = a + d
+            for e, f, g, h, vl, name, te, name2 in leaves[last]:
+                tr = a * e + b * g + c * f + d * h
+                pw, cells = by_v[v + vl]
+                yield row(t + name, cells[gcd(tr, pw)])
+                if name2:
+                    yield row(t + name2, cells[gcd(tp * te - tr, pw)])
 
     return rows()
 
@@ -116,25 +128,25 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
 def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
-    spectrum_rows's level loop, with each word's letters as its label."""
-    rows = _level_rows(rep, max_len, max_words, (), (), lambda last, x: (x,))
-    entries = tuple((_trusted_word(u), ell) for u, ell in rows)
-    return LengthSpectrum(rep.presentation, rep.context.p, max_len, entries,
+    spectrum_rows's level loop, whose rows are the (Word, length) entries."""
+    rows = _level_rows(rep, max_len, max_words, (), (), int, lambda last, x: (x,),
+                       lambda u, ell: (_trusted_word(u), ell))
+    return LengthSpectrum(rep.presentation, rep.context.p, max_len, tuple(rows),
                           rep.fundamental())
 
 
 def write_tsv(out: TextIO, presentation: Presentation, prime: int, max_len: int,
-              fingerprint: FundamentalTraceVector, rows: Iterable[Row]) -> None:
+              fingerprint: FundamentalTraceVector, rows: Iterable[str]) -> None:
     """Deterministic TSV to a text handle: header block, fingerprint
-    block, then one line per (text, length) row, written _CHUNK
-    rows at a time, so a row iterator is never held whole."""
+    block, then the rows, lines "text\tlength\n" as spectrum_rows yields
+    them, joined _CHUNK at a time, so a row iterator is never held whole."""
     lines = [f"# presentation\t{presentation.descriptor()}", f"# prime\t{prime}",
              f"# max_len\t{max_len}"]
     lines += [f"# fingerprint\t{variable_name(key)}\t{value}"
               for key, value in fingerprint.ordered()]
     out.write("\n".join(lines) + "\nword\tlength\n")
     rows = iter(rows)
-    while chunk := "".join([f"{t}\t{ell}\n" for t, ell in islice(rows, _CHUNK)]):
+    while chunk := "".join(islice(rows, _CHUNK)):
         out.write(chunk)
 
 
@@ -143,5 +155,5 @@ def to_tsv(spec: LengthSpectrum) -> str:
     texts = word_texts((w.letters for w, _ in spec.entries), spec.presentation)
     out = io.StringIO()
     write_tsv(out, spec.presentation, spec.prime, spec.max_len, spec.fingerprint,
-              zip(texts, (ell for _, ell in spec.entries)))
+              (f"{t}\t{ell}\n" for t, (_, ell) in zip(texts, spec.entries)))
     return out.getvalue()

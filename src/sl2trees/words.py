@@ -64,10 +64,13 @@ class Word:
         return f"Word({self.letters})"
 
 
+_new_word, _set_letters = object.__new__, Word.letters.__set__
+
+
 def _trusted_word(letters: Tuple[int, ...]) -> Word:
     """A Word over letters known to be nonzero ints, built unchecked."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    w = _new_word(Word)
+    _set_letters(w, letters)
     return w
 
 

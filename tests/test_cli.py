@@ -343,19 +343,25 @@ def test_refused_spectrum_leaves_the_tsv_file_alone(capsys, tmp_path, rep_path,
 
 def test_spectrum_cli_streams_rows(capsys, tmp_path):
     # free rank 2 at L = 10 has 118097 rows; holding them all (as Word
-    # objects, then as lines, then as one string) peaked at about 42 MB
+    # objects, then as lines, then as one string) peaked at about 42 MB.
+    # Genus 2 at L = 6 has 156865 rows and peaks near 6 MB; holding every
+    # line before writing peaked near 18 MB.
     path = tmp_path / "rep.json"
-    save_representation(unbounded_irreducible_rep(CTX), str(path))
     target = tmp_path / "out.tsv"
-    argv = ["spectrum", str(path), "--max-len", "10", "--tsv", str(target)]
-    tracemalloc.start()
-    try:
-        assert run(capsys, argv) == (0, "", "")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert target.read_bytes().count(b"\n") == 3 + 3 + 1 + ball_size(2, 10)
-    assert peak < 20_000_000
+    for rep, max_len, bound in ((unbounded_irreducible_rep(CTX), 10, 20_000_000),
+                                (genus2_rep(), 6, 10_000_000)):
+        save_representation(rep, str(path))
+        argv = ["spectrum", str(path), "--max-len", str(max_len), "--tsv", str(target)]
+        tracemalloc.start()
+        try:
+            assert run(capsys, argv) == (0, "", "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rank = rep.presentation.rank
+        assert target.read_bytes().count(b"\n") == (
+            3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
+        assert peak < bound
 
 
 def test_missing_file_is_a_clean_failure(capsys, tmp_path):

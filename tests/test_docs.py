@@ -33,5 +33,5 @@ def test_readme_python_blocks_give_their_commented_values():
     assert values["report.zariski_dense"] is True
     assert values["distance(v, w)"] == 6
     rows = namespace["rows"]
-    assert next(rows) == ("1", 0)
-    assert [next(rows) for _ in range(2)] == [("a", 2), ("a'", 2)]
+    assert next(rows) == "1\t0\n"
+    assert [next(rows) for _ in range(2)] == ["a\t2\n", "a'\t2\n"]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import sys
@@ -28,6 +29,8 @@ from sl2trees import (
     word_to_text,
     write_tsv,
 )
+from sl2trees.cli import main
+from sl2trees.repfile import save_representation
 from sl2trees.spectrum import LengthSpectrum
 from sl2trees.words import word_sort_key
 
@@ -106,9 +109,9 @@ def test_spectrum_rows_stream_the_spectrum():
     for rep, max_len in ((unbounded_irreducible_rep(CTX), 0), (genus2, 3)):
         spec = spectrum(rep, max_len)
         rows = spectrum_rows(rep, max_len)
-        assert next(rows) == ("1", 0)
-        assert [("1", 0)] + list(rows) == [
-            (word_to_text(w, rep.presentation), l) for w, l in spec.entries]
+        assert next(rows) == "1\t0\n"
+        assert ["1\t0\n"] + list(rows) == [
+            f"{word_to_text(w, rep.presentation)}\t{l}\n" for w, l in spec.entries]
         out = io.StringIO()
         write_tsv(out, rep.presentation, CTX.p, max_len, rep.fundamental(),
                   spectrum_rows(rep, max_len))
@@ -132,8 +135,8 @@ def test_spectrum_walks_the_ball_once(monkeypatch):
     for rep, max_len in ((free2, 0), (free2, 1), (free2, 5), (genus2, 3)):
         spec = spectrum(rep, max_len)
         assert all(type(w) is Word for w, _ in spec.entries)
-        assert [(word_to_text(w, rep.presentation), ell) for w, ell in spec.entries] == \
-            list(spectrum_rows(rep, max_len))
+        assert [f"{word_to_text(w, rep.presentation)}\t{ell}\n"
+                for w, ell in spec.entries] == list(spectrum_rows(rep, max_len))
 
 
 @st.composite
@@ -181,9 +184,10 @@ def test_spectrum_rows_equal_word_text_and_length_of(case):
     rows = list(spectrum_rows(rep, max_len))
     words = ball(rep.presentation, max_len)
     assert len(rows) == len(words)
-    for w, (text, ell) in zip(words, rows):
+    for w, line in zip(words, rows):
+        text, ell = line.split("\t")
         assert text == word_to_text(w, rep.presentation)
-        assert ell == length_of(rep, w)
+        assert ell == f"{length_of(rep, w)}\n"
 
 
 def test_spectrum_rows_big_denominators_are_fast():
@@ -194,10 +198,60 @@ def test_spectrum_rows_big_denominators_are_fast():
     elapsed = time.monotonic() - t0
     assert len(rows) == ball_size(2, 7)
     assert elapsed < 2
-    for w, (text, ell) in zip(ball(rep.presentation, 7), rows):
-        assert ell == length_of(rep, w)
+    pairs = [line.split("\t") for line in rows]
+    for w, (text, ell) in zip(ball(rep.presentation, 7), pairs):
+        assert ell == f"{length_of(rep, w)}\n"
         assert text == word_to_text(w, rep.presentation)
-    assert {ell for _, ell in rows} >= {0, 1600}
+    assert {ell for _, ell in pairs} >= {"0\n", "1600\n"}
+
+
+def corpus_generator(rng, ctx, dens):
+    """A seeded product of three elementary or diagonal factors whose
+    entries' denominators are drawn from dens."""
+    m = SL2Matrix.identity(ctx)
+    for _ in range(3):
+        x = Fraction(rng.randint(-9, 9), rng.choice(dens))
+        kind = rng.choice("uld")
+        if kind == "d":
+            s = Fraction(rng.choice(dens)) ** rng.choice((1, -1))
+            m = m * SL2Matrix(((s, 0), (0, 1 / s)), ctx)
+        else:
+            m = m * SL2Matrix(((1, x), (0, 1)) if kind == "u" else ((1, 0), (x, 1)), ctx)
+    return m
+
+
+# sha256 of the CLI's TSV bytes over 48 seeded representations (p-power,
+# prime-to-p and mixed denominators), computed on the spectrum loop that
+# took each leaf's trace as a full product of its prefix and letter
+SPECTRUM_CORPUS_SHA256 = "07ce78d9cc6e030ada00796ac498b0d51fc4e70b4cd8709a2bfb4246e5cdcb43"
+
+
+def test_spectrum_corpus_frozen(tmp_path):
+    rng = random.Random(2222)
+    path, target = tmp_path / "rep.json", tmp_path / "out.tsv"
+    h, lines = hashlib.sha256(), 0
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        q = 3 if p == 2 else 2
+        for dens in ((p, p ** 2, p ** 5), (1, q, q * q), (p * q, p ** 3, q)):
+            gens = [corpus_generator(rng, ctx, dens) for _ in range(3)]
+            for group, max_len, rep in (
+                    ("free1", 30, Representation(Presentation.free(1), {"a": gens[0]})),
+                    ("free2", 8, free2_rep(ctx, *gens[:2])),
+                    ("free3", 5, Representation(Presentation.free(3),
+                                                dict(zip("abc", gens)))),
+                    # a2 = b1 and b2 = a1, so [a1, b1][a2, b2] = 1 holds
+                    ("genus2", 4, Representation(Presentation.surface(2), {
+                        "a1": gens[0], "b1": gens[1], "a2": gens[1], "b2": gens[0]}))):
+                save_representation(rep, str(path))
+                argv = ["spectrum", str(path), "--max-len", str(max_len), "--tsv", str(target)]
+                assert main(argv) == 0, group
+                data = target.read_bytes()
+                h.update(data)
+                lines += data.count(b"\n")
+    assert lines == 12 * (5 + 7 + 11 + 19) + 12 * sum(
+        ball_size(rank, max_len) for rank, max_len in ((1, 30), (2, 8), (3, 5), (4, 4)))
+    assert h.hexdigest() == SPECTRUM_CORPUS_SHA256
 
 
 def test_spectrum_rows_refuse_at_the_call():
