@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
@@ -30,7 +31,7 @@ from .matrices import IDENTITY, SL2Matrix, checked, letter_table, scaled_mul
 from .traces import FundamentalTraceVector, fundamental_traces, subset_products
 from .tree import TreeVertex, act
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_walk,
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_size, ball_walk,
     check_size, scaled_image, sphere_sizes, word_to_text)
 
 Line = Tuple[int, int]
@@ -296,9 +297,11 @@ def commutator_trace_scan(
     Each trace comes from the Fricke identity
     tr[u, v] = tr(u)^2 + tr(v)^2 + tr(uv)^2 - tr(u) tr(v) tr(uv) - 2,
     in integers over the scaled images u = M/Du and v = N/Dv: one trace
-    of a product per pair, over the common denominator Du^2 Dv^2.  As
-    [v, u] = [u, v]^-1 has the same trace, each unordered pair is
-    computed once and its value reused for the mirrored pair.
+    of a product per pair, over the common denominator Du^2 Dv^2, whose
+    numerator is compared with 2 Du^2 Dv^2 before a Fraction is built.
+    Pairs with u or v empty, v = u or v = u^-1 take the shared 2 with no
+    arithmetic.  As [v, u] = [u, v]^-1 has the same trace, each unordered
+    pair is computed once and its value read back for the mirrored pair.
     """
     if max_total_len < 2:
         raise ValidationError("scan needs max_total_len >= 2")
@@ -308,26 +311,33 @@ def commutator_trace_scan(
     table = rep._letters
     walk = ball_walk(rank, max_total_len, IDENTITY,
                      lambda m, x: scaled_mul(m, table[x]))
-    rows = []
-    for u, (a, b, c, d, den) in walk:
-        rows.append((u, tuple(-x for x in reversed(u)),
-                     a, b, c, d, a + d, (a + d) ** 2, den * den))
+    words, invs, images = zip(*((u, tuple(map(neg, reversed(u))),
+                                 (a, b, c, d, a + d, (a + d) ** 2, den * den))
+                                for u, (a, b, c, d, den) in walk))
+    # ends[k]: the rows with |u| <= k, a prefix as rows are shortlex
+    ends = [ball_size(rank, k) for k in range(max_total_len + 1)]
     ctx = rep.context
-    out: List[Tuple[Word, ValuedRational]] = []
-    traces: List[List[ValuedRational]] = []  # traces[i][j]: tr[rows i, rows j]
-    for i, (u, u_inv, a, b, c, d, tu, tu2, du2) in enumerate(rows):
-        mine: List[ValuedRational] = []
-        for j, (v, v_inv, e, f, g, h, tv, tv2, dv2) in enumerate(rows):
-            if len(u) + len(v) > max_total_len:
-                break  # rows are shortlex sorted, so later v are no shorter
-            if j < i:
-                t = traces[j][i]
-            else:
+    two = ValuedRational(2, ctx)
+    conj = [_trusted_word(u + u_inv) for u, u_inv in zip(words, invs)]  # [u, 1], [1, u]
+    out: List[Tuple[Word, ValuedRational]] = [(w, two) for w in conj]
+    traces = [[two] * len(words)]  # traces[i][j]: tr[rows i, rows j], 2|u_i| <= L
+    for i in range(1, ends[max_total_len - 1]):  # the rows 0 < |u| < L
+        u, u_inv = words[i], invs[i]
+        n = ends[max_total_len - len(u)]
+        mine = [row[i] for row in traces[:n]]  # the mirrored pairs, j < i
+        if i < n:  # 2|u| <= L: u also pairs with itself and later rows
+            a, b, c, d, tu, tu2, du2 = images[i]
+            for v, (e, f, g, h, tv, tv2, dv2) in zip(words[i:n], images[i:n]):
+                if v == u or v == u_inv:
+                    mine.append(two)
+                    continue
                 tuv = a * e + b * g + c * f + d * h
                 den = du2 * dv2
                 num = tu2 * dv2 + tv2 * du2 + tuv * (tuv - tu * tv) - 2 * den
-                t = ValuedRational(Fraction(num, den), ctx)
-            mine.append(t)
-            out.append((_trusted_word(u + v + u_inv + v_inv), t))
-        traces.append(mine)
-    return out
+                mine.append(two if num == 2 * den
+                            else ValuedRational(Fraction(num, den), ctx))
+            traces.append(mine)
+        out.append((conj[i], two))
+        out += zip(map(_trusted_word, [u + v + u_inv + v_inv for v, v_inv
+                                       in zip(words[1:n], invs[1:n])]), mine[1:])
+    return out + [(w, two) for w in conj[ends[max_total_len - 1]:]]  # |u| = L

@@ -17,18 +17,22 @@ from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 from .errors import NotEllipticError, NotHyperbolicError, ValidationError
-from .matrices import SL2Matrix
+from .field import _val_fraction
+from .matrices import Scaled, SL2Matrix
 from .tree import DEFAULT_NODE_CAP, TreeVertex, _toward, act, distance, geodesic
 from .words import check_size
 
 
 def translation_length(g: SL2Matrix) -> int:
-    """Stable displacement of g; 0 exactly when g fixes a vertex.  It is
-    -2 min(0, v(tr g)), which on g's scaled tuple (a, b, c, d, den) is
-    2 max(0, v(den) - v(a + d))."""
-    a, _, _, d, den = g.scaled
-    v = g.context.valuation
-    return 2 * max(0, v(den) - v(a + d))
+    """Stable displacement of g; 0 exactly when g fixes a vertex."""
+    return _scaled_length(g.scaled, g.context.p)
+
+
+def _scaled_length(m: Scaled, p: int) -> int:
+    """-2 min(0, v(tr)) read off a scaled tuple m = (a, b, c, d, den), in
+    lowest terms or not: 2 max(0, v(den) - v(a + d))."""
+    a, _, _, d, den = m
+    return 2 * max(0, _val_fraction(den, p) - _val_fraction(a + d, p))
 
 
 def _projection(g: SL2Matrix, x: TreeVertex, ell: int = 0) -> TreeVertex:

@@ -20,18 +20,20 @@ from typing import Iterable, Iterator, TextIO, Tuple
 
 from .classify import Representation
 from .field import _val_fraction
-from .isometry import translation_length
+from .isometry import _scaled_length
+from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, check_ball, letter_children,
-    word_texts, word_to_text)
+    scaled_image, word_texts, word_to_text)
 
 _CHUNK = 4096  # rows joined per write
 
 
 def length_of(rep: Representation, w: Word) -> int:
-    """Translation length of the image of w."""
-    return translation_length(rep.evaluate(w))
+    """Translation length of the image of w, read off its scaled image
+    with its determinant checked; no SL2Matrix is built."""
+    return _scaled_length(checked(scaled_image(w, rep._letters)), rep.context.p)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,19 @@ def _center(b: int, d: int, n: int, p: int) -> Tuple[int, int]:
     if b == 0 or n + e <= 0:  # then v(b/d) >= -e >= n
         return 0, 0
     modulus = p ** (n + e)
-    r = b * pow(d // p ** e, -1, modulus) % modulus
+    r = b * _inverse_mod(d // p ** e, p, n + e) % modulus
     k = min(e, _val_fraction(r, p))  # math.inf for r = 0, when k = e
     return (r // p ** k, e - k) if k else (r, e)
+
+
+def _inverse_mod(q: int, p: int, k: int) -> int:
+    """The inverse of q mod p^k, q prime to p and k >= 1, by Newton steps
+    x <- x (2 - q x) mod p^j from j = 1, each doubling j as 1 - q x' =
+    (1 - q x)^2; pow(q, -1, p**k) is quadratic in the digits of p^k."""
+    if k == 1:
+        return pow(q, -1, p)
+    x, modulus = _inverse_mod(q, p, (k + 1) // 2), p ** k
+    return x * (2 - q % modulus * x) % modulus
 
 
 class TreeVertex(tuple):

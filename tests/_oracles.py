@@ -315,6 +315,26 @@ def padic_square_table(x, p):
     return residue in squares
 
 
+def inverse_mod_prime_power(q, p, k):
+    """The inverse of q mod p^k, from Python's pow."""
+    return pow(q, -1, p ** k)
+
+
+def commutator_words(rank, max_total_len):
+    """The words u v u^-1 v^-1 of commutator_trace_scan, in its order: a
+    plain double loop over the shortlex ball of the library's ball_walk,
+    keeping the pairs with |u| + |v| <= max_total_len."""
+    from sl2trees.words import ball_walk
+
+    ball = [u for u, _ in ball_walk(rank, max_total_len, None, lambda state, x: None)]
+
+    def inv(w):
+        return tuple(-x for x in reversed(w))
+
+    return [u + v + inv(u) + inv(v) for u in ball for v in ball
+            if len(u) + len(v) <= max_total_len]
+
+
 def fraction_fold(letters, gens):
     """Image of a word as a left fold of plain Fraction 2x2 products.
 

@@ -32,7 +32,8 @@ from sl2trees import (
     subset_keys,
 )
 
-from _oracles import bounded_by_all_subsets, saturated_lattice, val_fraction
+from _oracles import (
+    bounded_by_all_subsets, commutator_words, saturated_lattice, val_fraction)
 from conftest import (
     diag_rep,
     free2_rep,
@@ -482,10 +483,44 @@ def test_commutator_scan_counts_pairs_before_building_them():
     assert peak < 100_000
 
 
-def test_commutator_scan_values_match_traces():
-    rep = unbounded_irreducible_rep(CTX)
-    for w, t in commutator_trace_scan(rep, max_total_len=3):
-        assert rep.evaluate(w).trace() == t
+@st.composite
+def scan_cases(draw):
+    """(rep, max_total_len): a random rep of rank 1-3, a genus-2 rep
+    (x, y, y, x), a diagonal rep, or one of the two degenerate shapes (a
+    cyclic image and an image in a torus normalizer), at total length 2-3."""
+    ctx = PrimeContext(draw(st.sampled_from((2, 3, 5, 7))))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    shape = draw(st.sampled_from(("random", "genus2", "diagonal", "cyclic", "torus")))
+    if shape == "random":
+        rank = draw(st.integers(1, 3))
+        rep = Representation(Presentation.free(rank),
+                             zip("abc", (random_sl2(rng, ctx, steps=3) for _ in range(rank))))
+    elif shape == "genus2":
+        x, y = random_noncommuting_pair(rng, ctx, steps=3)
+        rep = Representation(Presentation.surface(2), {"a1": x, "b1": y, "a2": y, "b2": x})
+    elif shape == "diagonal":
+        rep = diag_rep(ctx, draw(st.integers(1, 2)))
+    elif shape == "cyclic":
+        m = random_sl2(rng, ctx, steps=3)
+        rep = free2_rep(ctx, m, m * m)
+    else:
+        t = Fraction(ctx.p) ** draw(st.integers(1, 2))
+        rep = free2_rep(ctx, SL2Matrix(((t, 0), (0, 1 / t)), ctx),
+                        SL2Matrix(((0, 1), (-1, 0)), ctx))
+    return rep, draw(st.integers(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_commutator_scan_values_match_traces(case):
+    # every item against a double loop over the ball: its word, its place
+    # in the list, and the trace of the word's image
+    rep, max_total_len = case
+    scan = commutator_trace_scan(rep, max_total_len)
+    assert [w.letters for w, _ in scan] == commutator_words(
+        rep.presentation.rank, max_total_len)
+    for w, t in scan:
+        assert t.value == rep.evaluate(w).trace() and t.context == rep.context
 
 
 # -- conjugacy -----------------------------------------------------------

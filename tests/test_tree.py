@@ -31,9 +31,9 @@ from sl2trees import (
     tree_ball,
 )
 
-from sl2trees.tree import DEFAULT_NODE_CAP
+from sl2trees.tree import DEFAULT_NODE_CAP, _inverse_mod
 
-from _oracles import distance_via_matrices
+from _oracles import distance_via_matrices, inverse_mod_prime_power
 from conftest import random_integral_sl2, random_sl2
 
 CTX = PrimeContext(3)
@@ -434,6 +434,16 @@ def test_kernel_returns_canonical_vertices(case):
         assert_canonical(axis_segment(g, 3).vertices)
     else:
         assert_canonical([fixed_vertex(g)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 12) | st.integers(1000, 3000),
+       st.integers(-10 ** 600, 10 ** 600))
+def test_inverse_mod_equals_pow(p, k, q):
+    # Newton lifting from the inverse mod p, at small exponents and at
+    # exponents in the thousands; q of up to 600 digits, either sign
+    q = q if q % p else q + 1
+    assert _inverse_mod(q, p, k) == inverse_mod_prime_power(q, p, k)
 
 
 @st.composite
