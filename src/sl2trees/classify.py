@@ -32,7 +32,7 @@ from .traces import FundamentalTraceVector, fundamental_traces, subset_products
 from .tree import TreeVertex, act
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_size, ball_walk,
-    check_size, scaled_image, sphere_sizes, word_to_text)
+    check_size, letter_children, scaled_image, sphere_sizes, word_to_text)
 
 Line = Tuple[int, int]
 
@@ -309,13 +309,17 @@ def commutator_trace_scan(
     check_size("commutator scan", "pairs", DEFAULT_WORD_CAP,
                _pair_counts(rank, max_total_len))
     table = rep._letters
-    walk = ball_walk(rank, max_total_len, IDENTITY,
-                     lambda m, x: scaled_mul(m, table[x]))
-    words, invs, images = zip(*((u, tuple(map(neg, reversed(u))),
-                                 (a, b, c, d, a + d, (a + d) ** 2, den * den))
-                                for u, (a, b, c, d, den) in walk))
     # ends[k]: the rows with |u| <= k, a prefix as rows are shortlex
     ends = [ball_size(rank, k) for k in range(max_total_len + 1)]
+    # images for |u| < L: a row |u| = L pairs only with the empty word
+    walk = ball_walk(rank, max_total_len - 1, IDENTITY,
+                     lambda m, x: scaled_mul(m, table[x]))
+    words, images = zip(*((u, (a, b, c, d, a + d, (a + d) ** 2, den * den))
+                          for u, (a, b, c, d, den) in walk))
+    children = letter_children(rank)
+    words += tuple(u + (x,) for u in words[ends[max_total_len - 2]:]
+                   for x in children[u[-1]])
+    invs = [tuple(map(neg, reversed(u))) for u in words]
     ctx = rep.context
     two = ValuedRational(2, ctx)
     conj = [_trusted_word(u + u_inv) for u, u_inv in zip(words, invs)]  # [u, 1], [1, u]

@@ -1,12 +1,13 @@
 """Marked length spectra over shortlex balls, with TSV export.
 
 The spectrum pairs every freely reduced word up to a length bound with
-its translation length.  spectrum_rows walks the ball level by level in
-shortlex order (words.letter_children) in one loop: one exact 2x2
-integer product per inner word on its prefix's image, only the trace for
-a word of the last level, denominators kept only as valuations, and no
-final sort.  It yields finished TSV lines as they come, for write_tsv
-to stream; spectrum runs the same loop with letter tuples as labels.
+its translation length.  spectrum_rows walks the ball in shortlex order
+(words.letter_children) in one loop that meets in the middle: one exact
+2x2 integer product per word up to level ceil(L/2), then each longer
+word's trace as one dot product of a prefix's and a suffix's image,
+denominators kept only as valuations, and no final sort.  It yields
+finished TSV lines as they come, for write_tsv to stream; spectrum runs
+the same loop with letter tuples as labels.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class _Memo(dict):
 def spectrum_rows(rep: Representation, max_len: int,
                   max_words: int = DEFAULT_WORD_CAP) -> Iterator[str]:
     """The TSV line "text\tlength\n" of every reduced word with |w| <=
-    max_len, in shortlex order, from _level_rows: a word's text is its
-    prefix's plus one name, and no Word or letter tuple is built."""
+    max_len, in shortlex order, from _level_rows, texts joined from the
+    prefix's, one name and the suffix's: no Word or letter tuple is built."""
     names = {x: word_to_text(Word((x,)), rep.presentation) for x in rep._letters}
     return _level_rows(rep, max_len, max_words, "1", "", "\t{}\n".format,
                        lambda last, x: f" {names[x]}" if last else names[x], add)
@@ -72,17 +73,21 @@ def spectrum_rows(rep: Representation, max_len: int,
 def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
                 cell, label, row) -> Iterator:
     """row(label, cell(length)) for every reduced word with |w| <= max_len,
-    in shortlex order, each as the level loop reaches it.  The empty word's
+    in shortlex order, each as the walk reaches it.  The empty word's
     label is empty; a child's is its parent's (root at the empty word) plus
     label(last, x), x its letter and last its parent's (0 at the root).
     The size is checked at the call, before the first row.
 
-    A word's image is its prefix's times one letter, as integer matrices
-    whose denominators are tracked only by their valuation v.  Words of
-    length max_len need only the trace; a leaf P x' right after its sibling
-    P x takes tr(P) tr(x) - tr(P x), as x' is stored as adj(x) and S +
-    adj(S) = tr(S) I.  The length -2 min(0, v(tr) - v) is 2(v - k) with
-    p^k = gcd(tr, p^v); p^v and the cell of each (v, p^k) are memoized.
+    Images are integer matrices, denominators kept as valuations v.  The
+    walk meets in the middle at m = ceil(L/2): levels 1..m grow letter by
+    letter, and level m is kept as prefixes.  Level m + j is each prefix P
+    then each suffix x S of length j, x not cancelling P's last letter,
+    grouped by x and grown from length j - 1 as the level begins: its
+    trace is the dot product of the images of P and x S, its valuation
+    v_P + v_xS, its label P's plus label(last, x) plus that of S after x.
+    This order is shortlex, as |P| is fixed, and the walk holds
+    O(sqrt(ball)) words at rank >= 2.  The length -2 min(0, v(tr) - v) is
+    2(v - k), p^k = gcd(tr, p^v), with p^v and each (v, p^k)'s cell memoized.
     """
     check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p, letters = rep.context.p, rep._letters
@@ -92,37 +97,35 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
     # image, denominator valuation and the label it appends to its parent's
     children = {last: tuple((x, *images[x], label(last, x)) for x in xs)
                 for last, xs in letter_children(rep.presentation.rank).items()}
-    # at the leaves: a child x, its trace and the label of the x' after it
-    leaves = {}
-    for last, xs in children.items():
-        named = {x: name for x, *_, name in xs}
-        leaves[last] = tuple((*child, child[0] + child[3], x > 0 and named.get(-x))
-                             for x, *child in xs if x > 0 or -x not in named)
     by_v = _Memo(lambda v: (p ** v,  # and a memo of each p^k's cell
                             _Memo(lambda g: cell(2 * (v - _val_fraction(g, p))))))
+
+    def grow(level):
+        """Each child of each word of level, in order."""
+        return [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, v + vl,
+                 t + name, x)
+                for a, b, c, d, v, t, last in level
+                for x, e, f, g, h, vl, name in children[last]]
 
     def rows():
         yield row(empty, cell(0))
         level = [(1, 0, 0, 1, 0, root, 0)]
-        for _ in range(max_len - 1):
-            grown = []
-            level.reverse()
-            while level:  # each parent is freed as its children are made
-                a, b, c, d, v, t, last = level.pop()
-                for x, e, f, g, h, vl, name in children[last]:
-                    ae, dh, w, text = a * e + b * g, c * f + d * h, v + vl, t + name
-                    grown.append((ae, a * f + b * h, c * e + d * g, dh, w, text, x))
-                    pw, cells = by_v[w]
-                    yield row(text, cells[gcd(ae + dh, pw)])
-            level = grown
-        for a, b, c, d, v, t, last in level if max_len else ():  # leaves
-            tp = a + d
-            for e, f, g, h, vl, name, te, name2 in leaves[last]:
-                tr = a * e + b * g + c * f + d * h
-                pw, cells = by_v[v + vl]
-                yield row(t + name, cells[gcd(tr, pw)])
-                if name2:
-                    yield row(t + name2, cells[gcd(tp * te - tr, pw)])
+        for _ in range((max_len + 1) // 2):
+            level = grow(level)
+            for a, b, c, d, v, t, _ in level:
+                pw, cells = by_v[v]
+                yield row(t, cells[gcd(a + d, pw)])
+        # the suffixes x S of length j + 1, per first letter x
+        tails = {x: [(*image, root, x)] for x, *image, _ in children[0]}
+        for j in range(max_len // 2):
+            if j:
+                tails = {x: grow(level_x) for x, level_x in tails.items()}
+            for a, b, c, d, v, t, last in level:
+                for x, *_, name in children[last]:
+                    t_x = t + name
+                    for e, f, g, h, vs, s, _ in tails[x]:
+                        pw, cells = by_v[v + vs]
+                        yield row(t_x + s, cells[gcd(a * e + b * g + c * f + d * h, pw)])
 
     return rows()
 
@@ -130,7 +133,7 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
 def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
-    spectrum_rows's level loop, whose rows are the (Word, length) entries."""
+    spectrum_rows's loop, whose rows are the (Word, length) entries."""
     rows = _level_rows(rep, max_len, max_words, (), (), int, lambda last, x: (x,),
                        lambda u, ell: (_trusted_word(u), ell))
     return LengthSpectrum(rep.presentation, rep.context.p, max_len, tuple(rows),

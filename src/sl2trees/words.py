@@ -428,17 +428,10 @@ def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[tuple, obje
     children = letter_children(rank)
     level = [((), root)]
     yield level[0]
-    for depth in range(max_len, 0, -1):
-        grown = []
-        level.reverse()
-        while level:  # each parent is freed as its children are made
-            stem, state = level.pop()
-            for x in children[stem[-1] if stem else 0]:
-                row = (stem + (x,), step(state, x))
-                if depth > 1:
-                    grown.append(row)
-                yield row
-        level = grown
+    for _ in range(max_len):
+        level = [(stem + (x,), step(state, x)) for stem, state in level
+                 for x in children[stem[-1] if stem else 0]]
+        yield from level
 
 
 def ball(

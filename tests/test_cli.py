@@ -342,14 +342,14 @@ def test_refused_spectrum_leaves_the_tsv_file_alone(capsys, tmp_path, rep_path,
 
 
 def test_spectrum_cli_streams_rows(capsys, tmp_path):
-    # free rank 2 at L = 10 has 118097 rows; holding them all (as Word
-    # objects, then as lines, then as one string) peaked at about 42 MB.
-    # Genus 2 at L = 6 has 156865 rows and peaks near 6 MB; holding every
-    # line before writing peaked near 18 MB.
+    # free rank 2 has 118097 rows at L = 10 and 354293 at L = 11, genus 2
+    # 156865 at L = 6.  The loop holds the words of length ceil(L/2) and
+    # two suffix levels, about 1 MB in each case; held state that grows
+    # with the ball (all of level L - 1 peaked at 5.8-24.5 MB) fails here.
     path = tmp_path / "rep.json"
     target = tmp_path / "out.tsv"
-    for rep, max_len, bound in ((unbounded_irreducible_rep(CTX), 10, 20_000_000),
-                                (genus2_rep(), 6, 10_000_000)):
+    free2 = unbounded_irreducible_rep(CTX)
+    for rep, max_len in ((free2, 10), (free2, 11), (genus2_rep(), 6)):
         save_representation(rep, str(path))
         argv = ["spectrum", str(path), "--max-len", str(max_len), "--tsv", str(target)]
         tracemalloc.start()
@@ -361,7 +361,7 @@ def test_spectrum_cli_streams_rows(capsys, tmp_path):
         rank = rep.presentation.rank
         assert target.read_bytes().count(b"\n") == (
             3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
-        assert peak < bound
+        assert peak < 2_000_000
 
 
 def test_missing_file_is_a_clean_failure(capsys, tmp_path):

@@ -119,7 +119,7 @@ def test_spectrum_rows_stream_the_spectrum():
 
 
 def test_spectrum_walks_the_ball_once(monkeypatch):
-    # spectrum() is spectrum_rows's level loop with letter tuples as
+    # spectrum() is spectrum_rows's loop with letter tuples as
     # labels: no module's ball_walk is called beside it
     def refuse(*args):
         raise AssertionError("spectrum() walked the ball a second time")
@@ -188,6 +188,54 @@ def test_spectrum_rows_equal_word_text_and_length_of(case):
         text, ell = line.split("\t")
         assert text == word_to_text(w, rep.presentation)
         assert ell == f"{length_of(rep, w)}\n"
+
+
+S_PRIMES = (2, 3, 5)
+
+
+@st.composite
+def s_integer_pairs(draw):
+    """The entries of a pair in SL2(Z[1/30]): products of elementary and
+    diagonal factors whose denominators are products of 2, 3 and 5."""
+    def unit():
+        i, j, k = (draw(st.integers(-n, n)) for n in (3, 3, 2))
+        return Fraction(2) ** i * Fraction(3) ** j * Fraction(5) ** k
+
+    def generator():
+        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        for kind in draw(st.lists(st.sampled_from("uld"), min_size=1, max_size=4)):
+            if kind == "d":
+                s = unit()
+                f = ((s, 0), (0, 1 / s))
+            else:
+                x = draw(st.integers(-9, 9)) / unit()
+                f = ((1, x), (0, 1)) if kind == "u" else ((1, 0), (x, 1))
+            m = tuple(tuple(sum(m[i][k] * f[k][j] for k in range(2)) for j in range(2))
+                      for i in range(2))
+        return m
+
+    return generator(), generator(), draw(st.integers(0, 5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(s_integer_pairs())
+def test_spectrum_denominator_identity_across_primes(case):
+    # l_p(w) = 2 max(0, -v_p(tr w)) at every prime, so the reduced
+    # denominator of tr w is the product of p^(l_p(w) / 2) over the
+    # primes p that divide some generator denominator
+    a, b, max_len = case
+    reps = {p: free2_rep(PrimeContext(p), SL2Matrix(a, PrimeContext(p)),
+                         SL2Matrix(b, PrimeContext(p))) for p in S_PRIMES}
+    lengths = {p: [int(line.split("\t")[1]) for line in spectrum_rows(rep, max_len)]
+               for p, rep in reps.items()}
+    words = ball(Presentation.free(2), max_len)
+    assert all(len(column) == len(words) for column in lengths.values())
+    for i, w in enumerate(words):
+        den = 1
+        for p in S_PRIMES:
+            assert lengths[p][i] % 2 == 0
+            den *= p ** (lengths[p][i] // 2)
+        assert reps[2].evaluate(w).trace().denominator == den
 
 
 def test_spectrum_rows_big_denominators_are_fast():
