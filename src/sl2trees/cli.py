@@ -17,7 +17,7 @@ from .errors import Sl2TreesError
 from .field import PrimeContext
 from .isometry import _axis_ends, translation_length
 from .repfile import load_representation
-from .spectrum import length_of, spectrum_rows, write_tsv
+from .spectrum import _spectrum_writer, length_of
 from .traces import trace_polynomial
 from .tree import (
     DEFAULT_NODE_CAP,
@@ -82,12 +82,10 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     rep = load_representation(args.path)
     # refused requests raise here, before --tsv is opened or truncated
-    rows = spectrum_rows(rep, args.max_len, max_words=args.max_words)
-    fingerprint = rep.fundamental()
+    write = _spectrum_writer(rep, args.max_len, args.max_words)
     with (open(args.tsv, "w", encoding="utf-8") if args.tsv
           else contextlib.nullcontext(sys.stdout)) as out:
-        write_tsv(out, rep.presentation, rep.context.p, args.max_len,
-                  fingerprint, rows)
+        write(out)
     return 0
 
 

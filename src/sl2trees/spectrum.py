@@ -7,28 +7,39 @@ its translation length.  spectrum_rows walks the ball in shortlex order
 word's trace as one dot product of a prefix's and a suffix's image,
 denominators kept only as valuations, and no final sort.  It yields
 finished TSV lines as they come, for write_tsv to stream; spectrum runs
-the same loop with letter tuples as labels.
+the same loop with letter tuples as labels.  At rank 1, where the ball
+does not branch, every level grows letter by letter.  The command line's
+writer, _spectrum_writer, splits the last level's rows between the
+process and forked workers when spare CPUs exist, and writes the same
+bytes.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import add
-from typing import Iterable, Iterator, TextIO, Tuple
+from typing import Callable, Iterable, Iterator, List, TextIO, Tuple
 
 from .classify import Representation
+from .errors import Sl2TreesError
 from .field import _val_fraction
 from .isometry import _scaled_length
 from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, check_ball, letter_children,
-    scaled_image, word_texts, word_to_text)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_size, check_ball,
+    letter_children, scaled_image, word_texts, word_to_text)
 
 _CHUNK = 4096  # rows joined per write
+_WORKER_ROWS = 20_000  # the fewest rows per process worth a fork
+_PARENT_SHARE = 0.9  # the parent's rows per worker's: it also copies theirs
+_DRAIN = 1 << 16  # characters read from a worker's pipe at a time
 
 
 def length_of(rep: Representation, w: Word) -> int:
@@ -65,32 +76,51 @@ def spectrum_rows(rep: Representation, max_len: int,
     """The TSV line "text\tlength\n" of every reduced word with |w| <=
     max_len, in shortlex order, from _level_rows, texts joined from the
     prefix's, one name and the suffix's: no Word or letter tuple is built."""
+    return _text_rows(rep, max_len, max_words)
+
+
+def _text_rows(rep: Representation, max_len: int, max_words: int,
+               share: slice = slice(None), last_only: bool = False) -> Iterator[str]:
+    """spectrum_rows with _level_rows's share and last_only."""
     names = {x: word_to_text(Word((x,)), rep.presentation) for x in rep._letters}
     return _level_rows(rep, max_len, max_words, "1", "", "\t{}\n".format,
-                       lambda last, x: f" {names[x]}" if last else names[x], add)
+                       lambda last, x: f" {names[x]}" if last else names[x], add,
+                       share, last_only)
+
+
+def _half(rank: int, max_len: int) -> int:
+    """The level m the walk meets in the middle at: ceil(L/2), or L at
+    rank 1, whose ball does not branch."""
+    return max_len if rank == 1 else (max_len + 1) // 2
 
 
 def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
-                cell, label, row) -> Iterator:
+                cell, label, row, share: slice = slice(None),
+                last_only: bool = False) -> Iterator:
     """row(label, cell(length)) for every reduced word with |w| <= max_len,
     in shortlex order, each as the walk reaches it.  The empty word's
     label is empty; a child's is its parent's (root at the empty word) plus
     label(last, x), x its letter and last its parent's (0 at the root).
-    The size is checked at the call, before the first row.
+    The size is checked at the call, before the first row.  Level L's
+    rows are only those of the level-m words level_m[share], and
+    last_only drops the levels below L: slices of level m split level
+    L's rows into contiguous runs.
 
     Images are integer matrices, denominators kept as valuations v.  The
-    walk meets in the middle at m = ceil(L/2): levels 1..m grow letter by
-    letter, and level m is kept as prefixes.  Level m + j is each prefix P
-    then each suffix x S of length j, x not cancelling P's last letter,
-    grouped by x and grown from length j - 1 as the level begins: its
-    trace is the dot product of the images of P and x S, its valuation
-    v_P + v_xS, its label P's plus label(last, x) plus that of S after x.
-    This order is shortlex, as |P| is fixed, and the walk holds
+    walk meets in the middle at m = _half(rank, L): levels 1..m grow
+    letter by letter, and level m is kept as prefixes.  Level m + j is
+    each prefix P then each suffix x S of length j, x not cancelling P's
+    last letter, grouped by x and grown from length j - 1 as the level
+    begins: its trace is the dot product of the images of P and x S, its
+    valuation v_P + v_xS, its label P's plus label(last, x) plus that of S
+    after x.  This order is shortlex, as |P| is fixed, and the walk holds
     O(sqrt(ball)) words at rank >= 2.  The length -2 min(0, v(tr) - v) is
-    2(v - k), p^k = gcd(tr, p^v), with p^v and each (v, p^k)'s cell memoized.
+    2(v - k), p^k = gcd(tr, p^v), which is 1 when p does not divide tr;
+    p^v and each (v, p^k)'s cell are memoized.
     """
     check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     p, letters = rep.context.p, rep._letters
+    half = _half(rep.presentation.rank, max_len)
     images = {x: (a, b, c, d, _val_fraction(den, p))
               for x, (a, b, c, d, den) in letters.items()}
     # per last letter (0 for the empty word): each child letter with its
@@ -107,25 +137,32 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
                 for a, b, c, d, v, t, last in level
                 for x, e, f, g, h, vl, name in children[last]]
 
+    def prefixes(n, level):
+        """The level-m words whose rows of level n are yielded."""
+        return level[share] if n == max_len else () if last_only else level
+
     def rows():
-        yield row(empty, cell(0))
+        if not last_only:
+            yield row(empty, cell(0))
         level = [(1, 0, 0, 1, 0, root, 0)]
-        for _ in range((max_len + 1) // 2):
+        for n in range(1, half + 1):
             level = grow(level)
-            for a, b, c, d, v, t, _ in level:
+            for a, b, c, d, v, t, _ in prefixes(n, level):
+                tr = a + d
                 pw, cells = by_v[v]
-                yield row(t, cells[gcd(a + d, pw)])
+                yield row(t, cells[gcd(tr, pw) if tr % p == 0 else 1])
         # the suffixes x S of length j + 1, per first letter x
         tails = {x: [(*image, root, x)] for x, *image, _ in children[0]}
-        for j in range(max_len // 2):
+        for j in range(max_len - half):
             if j:
                 tails = {x: grow(level_x) for x, level_x in tails.items()}
-            for a, b, c, d, v, t, last in level:
+            for a, b, c, d, v, t, last in prefixes(half + j + 1, level):
                 for x, *_, name in children[last]:
                     t_x = t + name
                     for e, f, g, h, vs, s, _ in tails[x]:
+                        tr = a * e + b * g + c * f + d * h
                         pw, cells = by_v[v + vs]
-                        yield row(t_x + s, cells[gcd(a * e + b * g + c * f + d * h, pw)])
+                        yield row(t_x + s, cells[gcd(tr, pw) if tr % p == 0 else 1])
 
     return rows()
 
@@ -162,3 +199,110 @@ def to_tsv(spec: LengthSpectrum) -> str:
     write_tsv(out, spec.presentation, spec.prime, spec.max_len, spec.fingerprint,
               (f"{t}\t{ell}\n" for t, (_, ell) in zip(texts, spec.entries)))
     return out.getvalue()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(rank: int, max_len: int) -> List[slice]:
+    """Slices of level m, the level the walk meets in the middle at: the
+    parent's, whose level-L rows follow all rows below L, then one per
+    worker, each a contiguous run of level L.  Empty when the run stays
+    serial: at rank 1, below 2 * _WORKER_ROWS rows or 2 usable CPUs,
+    without os.fork, or with another thread alive, which a fork would
+    leave holding the child's locks.
+
+    Each level-m word has (2r - 1)^(L - m) rows at level L, so the split
+    is by exact row counts: a worker gets total / (k - 1 + _PARENT_SHARE)
+    rows, the parent _PARENT_SHARE of that, or only the rows below L
+    where those are more."""
+    total = ball_size(rank, max_len)
+    k = min(_usable_cpus(), total // _WORKER_ROWS)
+    half = _half(rank, max_len)
+    if (k < 2 or half == max_len or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return []
+    per = (2 * rank - 1) ** (max_len - half)
+    n = 2 * rank * (2 * rank - 1) ** (half - 1)
+    below = total - n * per
+    own = total * _PARENT_SHARE / (k - 1 + _PARENT_SHARE)
+    cut = min(n, max(0, round((own - below) / per)))
+    bounds = [cut + (n - cut) * i // (k - 1) for i in range(k)]
+    return [slice(0, cut)] + [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _buffer_then_write(pipe: int, rows: Iterator[str], parent: int) -> None:
+    """Join rows _CHUNK at a time, keep the joined strings, and write them
+    to pipe once all are made: the parent drains the pipe only after its
+    own rows.  Stops making rows once parent is no longer this process's
+    parent (it was killed), and the write then fails on the closed pipe."""
+    chunks = []
+    while os.getppid() == parent and (chunk := "".join(islice(rows, _CHUNK))):
+        chunks.append(chunk)
+    with open(pipe, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(chunks)
+
+
+def _spectrum_writer(rep: Representation, max_len: int,
+                     max_words: int = DEFAULT_WORD_CAP) -> Callable[[TextIO], None]:
+    """Check the request, then return write(out), which writes
+    write_tsv's bytes for spectrum_rows.  On a machine with spare CPUs,
+    workers forked from write each make a contiguous run of level L's
+    rows (see _shares) while the parent writes the header and the rows
+    before them; the parent then copies each worker's pipe to out, in
+    order.  An exception in the parent kills and reaps every worker
+    before it propagates; a worker that fails is an Sl2TreesError, and
+    one whose parent is killed stops (_buffer_then_write)."""
+    rank = rep.presentation.rank
+    check_ball("spectrum", rank, max_len, max_words)
+    fingerprint = rep.fundamental()
+
+    def write(out: TextIO) -> None:
+        shares = _shares(rank, max_len)
+        own = shares[0] if shares else slice(None)
+        workers = {}  # pid -> read end of its pipe, of each unreaped worker
+        parent = os.getpid()
+        try:
+            for share in shares[1:]:
+                read, end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(end)
+                    raise
+                if pid == 0:  # a worker: it leaves only by os._exit, so
+                    code = 1  # nothing the parent holds is flushed or run twice
+                    try:
+                        for fd in (read, *workers.values()):
+                            os.close(fd)
+                        _buffer_then_write(
+                            end, _text_rows(rep, max_len, max_words, share, True), parent)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(end)
+                workers[pid] = read
+            write_tsv(out, rep.presentation, rep.context.p, max_len, fingerprint,
+                      _text_rows(rep, max_len, max_words, own))
+            for pid, read in list(workers.items()):
+                with open(read, encoding="utf-8", newline="", closefd=False) as pipe:
+                    while chunk := pipe.read(_DRAIN):
+                        out.write(chunk)
+                status = os.waitpid(pid, 0)[1]
+                os.close(workers.pop(pid))
+                if status:
+                    raise Sl2TreesError("a spectrum worker process failed, exit status "
+                                        f"{os.waitstatus_to_exitcode(status)}")
+        finally:
+            for pid, read in workers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+
+    return write

@@ -36,6 +36,9 @@ from conftest import (
     unbounded_irreducible_rep,
 )
 
+# the module, which the package's spectrum function shadows
+spectrum_module = sys.modules["sl2trees.spectrum"]
+
 CTX = PrimeContext(3)
 
 CLASSIFY_IRREDUCIBLE = """prime=3
@@ -362,6 +365,109 @@ def test_spectrum_cli_streams_rows(capsys, tmp_path):
         assert target.read_bytes().count(b"\n") == (
             3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
         assert peak < 2_000_000
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """os.fork, counted: one entry per call."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def use_cpus(monkeypatch, cpus):
+    """The usable CPU count the spectrum writer sees."""
+    monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: cpus)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("group, max_len", [
+    ("free2", 10), ("free2", 11), ("free3", 7), ("genus2", 6)],
+    ids=["free2-L10", "free2-L11", "free3-L7", "genus2-L6"])
+def test_spectrum_workers_write_the_serial_bytes(capsys, tmp_path, monkeypatch,
+                                                 fork_calls, p, group, max_len):
+    # the serial route at one usable CPU, then the last level split over
+    # the parent and one or two workers, each to --tsv and to stdout
+    path = tmp_path / "rep.json"
+    save_representation(streamed_reps(p)[group], str(path))
+    target = tmp_path / "out.tsv"
+    argv = ["spectrum", str(path), "--max-len", str(max_len)]
+    outputs = []
+    for cpus, workers in ((1, 0), (2, 1), (3, 2)):
+        use_cpus(monkeypatch, cpus)
+        fork_calls.clear()
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, argv + ["--tsv", str(target)]) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        assert len(fork_calls) == 2 * workers
+        outputs.append(out)
+        assert_no_children()
+    assert outputs[1:] == outputs[:-1]
+
+
+def test_failed_spectrum_worker_is_a_clean_failure(capsys, rep_path, monkeypatch,
+                                                    fork_calls):
+    text_rows = spectrum_module._text_rows
+
+    def failing(rep, max_len, max_words, share=slice(None), last_only=False):
+        if last_only:  # only in a worker
+            raise RuntimeError("worker fault")
+        return text_rows(rep, max_len, max_words, share, last_only)
+
+    monkeypatch.setattr(spectrum_module, "_text_rows", failing)
+    use_cpus(monkeypatch, 2)
+    code, out, err = run(capsys, ["spectrum", rep_path, "--max-len", "10"])
+    assert code == 1 and len(fork_calls) == 1
+    assert err == "error: a spectrum worker process failed, exit status 1\n"
+    assert_no_children()
+
+
+class FailingHandle(io.StringIO):
+    """A text handle whose second write raises."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        if self.tell():
+            raise self.exc
+        return super().write(text)
+
+
+@pytest.mark.parametrize("exc", [OSError("no space left"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_spectrum_output_failure_reaps_the_workers(rep_path, monkeypatch, fork_calls,
+                                                   exc):
+    use_cpus(monkeypatch, 2)
+    handle, err = FailingHandle(exc), io.StringIO()
+    argv = ["spectrum", rep_path, "--max-len", "10"]
+    with contextlib.redirect_stdout(handle), contextlib.redirect_stderr(err):
+        if isinstance(exc, OSError):
+            assert main(argv) == 1
+            assert err.getvalue() == "error: no space left\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+    assert len(fork_calls) == 1
+    assert_no_children()
+
+
+def test_spectrum_worker_stops_once_its_parent_is_gone():
+    # a killed parent's workers are reparented, so a worker sees a parent
+    # id other than the one it was forked under and makes no more rows
+    read, end = os.pipe()
+    made = []
+    rows = (made.append(1) or "1\t0\n" for _ in range(10 ** 6))
+    spectrum_module._buffer_then_write(end, rows, os.getpid())
+    os.close(read)
+    assert made == []
 
 
 def test_missing_file_is_a_clean_failure(capsys, tmp_path):
