@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import io
 import os
+import shutil
 import signal
+import tempfile
 import threading
 from dataclasses import dataclass
 from itertools import islice
@@ -37,9 +39,8 @@ from .words import (
     letter_children, scaled_image, word_texts, word_to_text)
 
 _CHUNK = 4096  # rows joined per write
-_WORKER_ROWS = 20_000  # the fewest rows per process worth a fork
-_PARENT_SHARE = 0.9  # the parent's rows per worker's: it also copies theirs
-_DRAIN = 1 << 16  # characters read from a worker's pipe at a time
+_WORKER_ROWS = 10_000  # rows per process below which a fork costs more than it saves
+_DRAIN = 1 << 16  # characters copied from a worker's file at a time
 
 
 def length_of(rep: Representation, w: Word) -> int:
@@ -218,9 +219,8 @@ def _shares(rank: int, max_len: int) -> List[slice]:
     leave holding the child's locks.
 
     Each level-m word has (2r - 1)^(L - m) rows at level L, so the split
-    is by exact row counts: a worker gets total / (k - 1 + _PARENT_SHARE)
-    rows, the parent _PARENT_SHARE of that, or only the rows below L
-    where those are more."""
+    is by exact row counts: each process gets total / k rows, or the
+    parent only the rows below L where those are more."""
     total = ball_size(rank, max_len)
     k = min(_usable_cpus(), total // _WORKER_ROWS)
     half = _half(rank, max_len)
@@ -230,22 +230,19 @@ def _shares(rank: int, max_len: int) -> List[slice]:
     per = (2 * rank - 1) ** (max_len - half)
     n = 2 * rank * (2 * rank - 1) ** (half - 1)
     below = total - n * per
-    own = total * _PARENT_SHARE / (k - 1 + _PARENT_SHARE)
-    cut = min(n, max(0, round((own - below) / per)))
+    cut = min(n, max(0, round((total / k - below) / per)))
     bounds = [cut + (n - cut) * i // (k - 1) for i in range(k)]
     return [slice(0, cut)] + [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _buffer_then_write(pipe: int, rows: Iterator[str], parent: int) -> None:
-    """Join rows _CHUNK at a time, keep the joined strings, and write them
-    to pipe once all are made: the parent drains the pipe only after its
-    own rows.  Stops making rows once parent is no longer this process's
-    parent (it was killed), and the write then fails on the closed pipe."""
-    chunks = []
+def _stream_rows(handle: TextIO, rows: Iterator[str], parent: int) -> None:
+    """Write rows to handle _CHUNK at a time, as write_tsv does, then
+    flush it: a worker leaves by os._exit, which flushes nothing.  Stops
+    making rows once parent is no longer this process's parent (it was
+    killed and nothing will read them)."""
     while os.getppid() == parent and (chunk := "".join(islice(rows, _CHUNK))):
-        chunks.append(chunk)
-    with open(pipe, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(chunks)
+        handle.write(chunk)
+    handle.flush()
 
 
 def _spectrum_writer(rep: Representation, max_len: int,
@@ -253,11 +250,13 @@ def _spectrum_writer(rep: Representation, max_len: int,
     """Check the request, then return write(out), which writes
     write_tsv's bytes for spectrum_rows.  On a machine with spare CPUs,
     workers forked from write each make a contiguous run of level L's
-    rows (see _shares) while the parent writes the header and the rows
-    before them; the parent then copies each worker's pipe to out, in
-    order.  An exception in the parent kills and reaps every worker
+    rows (see _shares), streamed to an unlinked temporary file, while the
+    parent writes the header and the rows before them; the parent then
+    copies each worker's file to out, in order.  Every process holds
+    one chunk of rows and the walk's state, never its share of the
+    output.  An exception in the parent kills and reaps every worker
     before it propagates; a worker that fails is an Sl2TreesError, and
-    one whose parent is killed stops (_buffer_then_write)."""
+    one whose parent is killed stops (_stream_rows)."""
     rank = rep.presentation.rank
     check_ball("spectrum", rank, max_len, max_words)
     fingerprint = rep.fundamental()
@@ -265,44 +264,40 @@ def _spectrum_writer(rep: Representation, max_len: int,
     def write(out: TextIO) -> None:
         shares = _shares(rank, max_len)
         own = shares[0] if shares else slice(None)
-        workers = {}  # pid -> read end of its pipe, of each unreaped worker
+        workers = {}  # pid -> the unlinked file of its rows, of each unreaped worker
         parent = os.getpid()
         try:
             for share in shares[1:]:
-                read, end = os.pipe()
+                rows = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
                 try:
                     pid = os.fork()
                 except OSError:
-                    os.close(read)
-                    os.close(end)
+                    rows.close()
                     raise
                 if pid == 0:  # a worker: it leaves only by os._exit, so
                     code = 1  # nothing the parent holds is flushed or run twice
                     try:
-                        for fd in (read, *workers.values()):
-                            os.close(fd)
-                        _buffer_then_write(
-                            end, _text_rows(rep, max_len, max_words, share, True), parent)
+                        _stream_rows(
+                            rows, _text_rows(rep, max_len, max_words, share, True), parent)
                         code = 0
                     finally:
                         os._exit(code)
-                os.close(end)
-                workers[pid] = read
+                workers[pid] = rows
             write_tsv(out, rep.presentation, rep.context.p, max_len, fingerprint,
                       _text_rows(rep, max_len, max_words, own))
-            for pid, read in list(workers.items()):
-                with open(read, encoding="utf-8", newline="", closefd=False) as pipe:
-                    while chunk := pipe.read(_DRAIN):
-                        out.write(chunk)
+            for pid in list(workers):
                 status = os.waitpid(pid, 0)[1]
-                os.close(workers.pop(pid))
-                if status:
-                    raise Sl2TreesError("a spectrum worker process failed, exit status "
-                                        f"{os.waitstatus_to_exitcode(status)}")
+                with workers.pop(pid) as rows:
+                    if status:
+                        raise Sl2TreesError(
+                            "a spectrum worker process failed, exit status "
+                            f"{os.waitstatus_to_exitcode(status)}")
+                    rows.seek(0)
+                    shutil.copyfileobj(rows, out, _DRAIN)
         finally:
-            for pid, read in workers.items():
+            for pid, rows in workers.items():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                os.close(read)
+                rows.close()
 
     return write

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -344,27 +345,44 @@ def test_refused_spectrum_leaves_the_tsv_file_alone(capsys, tmp_path, rep_path,
     assert not missing.exists()
 
 
-def test_spectrum_cli_streams_rows(capsys, tmp_path):
+def test_spectrum_cli_streams_rows(capsys, tmp_path, monkeypatch):
     # free rank 2 has 118097 rows at L = 10 and 354293 at L = 11, genus 2
     # 156865 at L = 6.  The loop holds the words of length ceil(L/2) and
     # two suffix levels, about 1 MB in each case; held state that grows
     # with the ball (all of level L - 1 peaked at 5.8-24.5 MB) fails here.
+    # The bound holds for the serial run and, with the last level split,
+    # for the parent and for its worker, whose peak is read as it exits
+    # (a worker that kept its share of the rows peaked at 2.2-6.2 MB).
     path = tmp_path / "rep.json"
     target = tmp_path / "out.tsv"
+    peaks = tmp_path / "worker-peaks"
+    leave = os._exit
+
+    def exit_with_peak(code):
+        with open(peaks, "a") as handle:
+            handle.write(f"{tracemalloc.get_traced_memory()[1]}\n")
+        leave(code)
+
+    monkeypatch.setattr(os, "_exit", exit_with_peak)
     free2 = unbounded_irreducible_rep(CTX)
     for rep, max_len in ((free2, 10), (free2, 11), (genus2_rep(), 6)):
         save_representation(rep, str(path))
         argv = ["spectrum", str(path), "--max-len", str(max_len), "--tsv", str(target)]
-        tracemalloc.start()
-        try:
-            assert run(capsys, argv) == (0, "", "")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rank = rep.presentation.rank
-        assert target.read_bytes().count(b"\n") == (
-            3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
-        assert peak < 2_000_000
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            peaks.write_text("")
+            tracemalloc.start()
+            try:
+                assert run(capsys, argv) == (0, "", "")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rank = rep.presentation.rank
+            assert target.read_bytes().count(b"\n") == (
+                3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
+            worker_peaks = [int(line) for line in peaks.read_text().split()]
+            assert len(worker_peaks) == cpus - 1
+            assert max([peak] + worker_peaks) < 2_000_000
 
 
 @pytest.fixture
@@ -462,12 +480,19 @@ def test_spectrum_output_failure_reaps_the_workers(rep_path, monkeypatch, fork_c
 def test_spectrum_worker_stops_once_its_parent_is_gone():
     # a killed parent's workers are reparented, so a worker sees a parent
     # id other than the one it was forked under and makes no more rows
-    read, end = os.pipe()
     made = []
     rows = (made.append(1) or "1\t0\n" for _ in range(10 ** 6))
-    spectrum_module._buffer_then_write(end, rows, os.getpid())
-    os.close(read)
-    assert made == []
+    handle = io.StringIO()
+    spectrum_module._stream_rows(handle, rows, os.getpid())
+    assert made == [] and handle.getvalue() == ""
+
+
+def test_spectrum_worker_flushes_its_rows():
+    # a worker leaves by os._exit, which flushes no buffer, so its rows
+    # are in the file, not in the handle's buffer, once they are written
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as handle:
+        spectrum_module._stream_rows(handle, iter(["a\t0\n", "b\t2\n"]), os.getppid())
+        assert os.pread(handle.fileno(), 64, 0) == b"a\t0\nb\t2\n"
 
 
 def test_missing_file_is_a_clean_failure(capsys, tmp_path):
