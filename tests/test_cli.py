@@ -353,6 +353,7 @@ def test_spectrum_cli_streams_rows(capsys, tmp_path, monkeypatch):
     # The bound holds for the serial run and, with the last level split,
     # for the parent and for its worker, whose peak is read as it exits
     # (a worker that kept its share of the rows peaked at 2.2-6.2 MB).
+    # Both runs write the same bytes.
     path = tmp_path / "rep.json"
     target = tmp_path / "out.tsv"
     peaks = tmp_path / "worker-peaks"
@@ -368,6 +369,7 @@ def test_spectrum_cli_streams_rows(capsys, tmp_path, monkeypatch):
     for rep, max_len in ((free2, 10), (free2, 11), (genus2_rep(), 6)):
         save_representation(rep, str(path))
         argv = ["spectrum", str(path), "--max-len", str(max_len), "--tsv", str(target)]
+        outputs = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             peaks.write_text("")
@@ -378,11 +380,12 @@ def test_spectrum_cli_streams_rows(capsys, tmp_path, monkeypatch):
             finally:
                 tracemalloc.stop()
             rank = rep.presentation.rank
-            assert target.read_bytes().count(b"\n") == (
-                3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len))
+            outputs.append(target.read_bytes())
+            assert outputs[-1].count(b"\n") == 3 + 2 ** rank - 1 + 1 + ball_size(rank, max_len)
             worker_peaks = [int(line) for line in peaks.read_text().split()]
             assert len(worker_peaks) == cpus - 1
             assert max([peak] + worker_peaks) < 2_000_000
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture

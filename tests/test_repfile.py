@@ -260,7 +260,10 @@ def _mutate(document, draw):
             group.update(kind="explicit", generators=names,
                          relators=draw(st.lists(word | WORDS, max_size=3)))
         return
-    *head, key = draw(st.sampled_from(list(_paths(document))[1:]))
+    paths = list(_paths(document))[1:]
+    if not paths:  # earlier deletions left {}: nothing inside to edit
+        return
+    *head, key = draw(st.sampled_from(paths))
     parent = document
     for k in head:
         parent = parent[k]

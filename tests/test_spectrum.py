@@ -1,13 +1,16 @@
 import hashlib
 import io
+import os
 import random
 import sys
+import tempfile
 import time
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sl2trees import (
     CapExceededError,
@@ -188,6 +191,65 @@ def test_spectrum_rows_equal_word_text_and_length_of(case):
         text, ell = line.split("\t")
         assert text == word_to_text(w, rep.presentation)
         assert ell == f"{length_of(rep, w)}\n"
+
+
+def example_rep(group, p, *gens):
+    """A representation on the generators' entries at p; genus 2 takes
+    (a1, b1) and sets a2 = b1, b2 = a1, so the relator holds."""
+    ctx = PrimeContext(p)
+    mats = [SL2Matrix(tuple(tuple(Fraction(x) for x in row) for row in g), ctx) for g in gens]
+    if group == "genus2":
+        return Representation(Presentation.surface(2), dict(zip(("a1", "b1", "a2", "b2"),
+                                                                mats + mats[::-1])))
+    return Representation(Presentation.free(len(mats)), dict(zip("abc", mats)))
+
+
+spectrum_module = sys.modules["sl2trees.spectrum"]
+
+
+# odd L, where the walk's midpoint split is uneven, L = m + 1, p = 2, and
+# denominators prime to p, each in a fixed case beside the drawn ones
+@settings(max_examples=60, deadline=None)
+@given(spectrum_cases())
+@example(case=(example_rep("free2", 2, (("7/6", "1/3"), ("1/2", 1)), ((0, -1), (1, "5/4"))), 3))
+@example(case=(example_rep("genus2", 3, ((0, -1), (1, "7/3")), (("1/3", 2), ("-1/3", 1))), 3))
+@example(case=(example_rep("free3", 5, ((5, 0), (0, "1/5")), ((1, 1), (1, 2)),
+                           ((1, "1/7"), (0, 1))), 4))
+@example(case=(example_rep("free2", 7, ((1, "1/49"), (0, 1)), (("1/3", 0), (0, 3))), 2))
+def test_spectrum_entries_rows_and_cli_bytes_agree(case):
+    # spectrum()'s entries, spectrum_rows's lines and the CLI's --tsv
+    # bytes at one and at two usable CPUs are the same rows; the fork
+    # threshold is lowered so that the two-CPU run splits its last level
+    rep, max_len = case
+    spec = spectrum(rep, max_len)
+    rows = list(spectrum_rows(rep, max_len))
+    assert rows == [f"{word_to_text(w, rep.presentation)}\t{ell}\n" for w, ell in spec.entries]
+    assert len(rows) == ball_size(rep.presentation.rank, max_len)
+    header, expected = to_tsv(spec).split("word\tlength\n")
+    assert expected == "".join(rows)
+    rank = rep.presentation.rank
+    splits = rank > 1 and spectrum_module._half(rank, max_len) < max_len
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "rep.json"), os.path.join(tmp, "out.tsv")
+        save_representation(rep, path)
+        for cpus in (1, 2):
+            with mock.patch.object(spectrum_module, "_usable_cpus", lambda: cpus), \
+                    mock.patch.object(spectrum_module, "_WORKER_ROWS", 1), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                argv = ["spectrum", path, "--max-len", str(max_len), "--tsv", target]
+                assert main(argv) == 0
+            assert fork.call_count == (cpus == 2 and splits)
+            with open(target, "rb") as handle:
+                assert handle.read() == f"{header}word\tlength\n{expected}".encode()
+
+
+def test_exponent_reads_powers_of_p_from_their_size():
+    # every p^k with k <= v, at bit lengths where p^k lies just above or
+    # just below a power of 2 as well as between
+    for p in (2, 3, 5, 7):
+        for v in (0, 1, 2, 59, 2000):
+            assert [spectrum_module._exponent(p ** k, v, lambda j: p ** j)
+                    for k in range(v + 1)] == list(range(v + 1))
 
 
 S_PRIMES = (2, 3, 5)
