@@ -31,8 +31,8 @@ from .matrices import IDENTITY, SL2Matrix, checked, letter_table, scaled_mul
 from .traces import FundamentalTraceVector, fundamental_traces, subset_products
 from .tree import TreeVertex, act
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_size, ball_walk,
-    check_size, letter_children, scaled_image, sphere_sizes, word_to_text)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_levels, ball_size,
+    check_size, scaled_image, sphere_sizes, word_to_text)
 
 Line = Tuple[int, int]
 
@@ -261,8 +261,8 @@ def classify(rep: Representation) -> ClassificationReport:
 
 
 def conjugacy_test(rep1: Representation, rep2: Representation) -> bool:
-    """Trace-vector equality decides conjugacy for unbounded,
-    rationally irreducible representations of the same presentation."""
+    """Trace-vector equality decides conjugacy in GL2(Q), not SL2(Q), for
+    unbounded, rationally irreducible representations of one presentation."""
     if rep1.presentation != rep2.presentation:
         raise PreconditionNotMetError("representations of different presentations")
     if rep1.context != rep2.context:
@@ -311,14 +311,16 @@ def commutator_trace_scan(
     table = rep._letters
     # ends[k]: the rows with |u| <= k, a prefix as rows are shortlex
     ends = [ball_size(rank, k) for k in range(max_total_len + 1)]
-    # images for |u| < L: a row |u| = L pairs only with the empty word
-    walk = ball_walk(rank, max_total_len - 1, IDENTITY,
-                     lambda m, x: scaled_mul(m, table[x]))
-    words, images = zip(*((u, (a, b, c, d, a + d, (a + d) ** 2, den * den))
-                          for u, (a, b, c, d, den) in walk))
-    children = letter_children(rank)
-    words += tuple(u + (x,) for u in words[ends[max_total_len - 2]:]
-                   for x in children[u[-1]])
+
+    def step(state, x):  # images for |u| < L: a row |u| = L pairs only with the empty word
+        u, image = state
+        return u + (x,), scaled_mul(image, table[x]) if len(u) < max_total_len - 1 else None
+
+    rows = [state for level in ball_levels(rank, max_total_len, ((), IDENTITY), step)
+            for state, _ in level]
+    words = [u for u, _ in rows]
+    images = [(a, b, c, d, a + d, (a + d) ** 2, den * den)
+              for _, (a, b, c, d, den) in rows[:ends[max_total_len - 1]]]
     invs = [tuple(map(neg, reversed(u))) for u in words]
     ctx = rep.context
     two = ValuedRational(2, ctx)

@@ -1,15 +1,15 @@
 """Marked length spectra over shortlex balls, with TSV export.
 
 The spectrum pairs every freely reduced word up to a length bound with
-its translation length.  _level_rows walks the ball in shortlex order in
-one loop that meets in the middle: an exact 2x2 integer product per word
-up to level ceil(L/2), then each longer word's trace as a dot product of
-a prefix's and a suffix's image, denominators kept as valuations, rows
-yielded a group (prefix, next letter) at a time.  write_tsv streams its
-text chunks, spectrum_rows splits them into lines, and spectrum runs it
-with letter tuples as labels.  The command line's _spectrum_writer
-splits the last level's rows across forked workers when spare CPUs
-exist, and writes the same bytes.
+its translation length.  _level_rows meets in the middle: one
+words.ball_levels walk grows each word up to level ceil(L/2) once, by an
+exact 2x2 integer product; a longer word's trace is the dot product of a
+prefix's and a suffix's image, both from the walk's levels, denominators
+kept as valuations, rows yielded a group (prefix, next letter) at a time.
+write_tsv streams its text chunks, spectrum_rows splits them into lines,
+and spectrum runs the loop with letter tuples as labels.  The command
+line's _spectrum_writer splits the last level's rows across forked
+workers when spare CPUs exist, and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .isometry import _scaled_length
 from .matrices import checked
 from .traces import FundamentalTraceVector, variable_name
 from .words import (
-    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_size, check_ball,
-    letter_children, scaled_image, word_texts, word_to_text)
+    DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_levels, ball_size,
+    check_ball, letter_alphabet, scaled_image, word_texts, word_to_text)
 
 _JOIN = 64  # chunks of rows joined per write
 _WORKER_ROWS = 10_000  # rows per process below which a fork costs more than it saves
@@ -72,17 +72,18 @@ def spectrum_rows(rep: Representation, max_len: int,
                   max_words: int = DEFAULT_WORD_CAP) -> Iterator[str]:
     """The TSV line "text\tlength\n" of every reduced word with |w| <=
     max_len, in shortlex order: _text_rows's chunks split into lines."""
+    check_ball("spectrum", rep.presentation.rank, max_len, max_words)
     return chain.from_iterable(
-        chunk.splitlines(True) for chunk in _text_rows(rep, max_len, max_words))
+        chunk.splitlines(True) for chunk in _text_rows(rep, max_len))
 
 
-def _text_rows(rep: Representation, max_len: int, max_words: int,
-               share: slice = slice(None), last_only: bool = False) -> Iterator[str]:
-    """_level_rows's chunks as runs of TSV lines, texts joined from the
-    prefix's, one name and the suffix's; share and last_only as there."""
+def _text_rows(rep: Representation, max_len: int, share: slice = slice(None),
+               last_only: bool = False) -> Iterator[str]:
+    """_level_rows's chunks as runs of TSV lines, a word's text its names
+    joined by spaces; share and last_only as there."""
     names = {x: word_to_text(Word((x,)), rep.presentation) for x in rep._letters}
-    return _level_rows(rep, max_len, max_words, "1", "", "\t{}\n".format,
-                       lambda last, x: f" {names[x]}" if last else names[x],
+    return _level_rows(rep, max_len, "1", "", "\t{}\n".format,
+                       lambda t, x: f"{t} {names[x]}" if t else names[x],
                        lambda t, items: t + t.join(items), share, last_only)
 
 
@@ -101,49 +102,48 @@ def _exponent(g: int, v: int, power: Callable[[int], int]) -> int:
     return k + (g > pk) - (g < pk)
 
 
-def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
-                cell, label, join, share: slice = slice(None),
-                last_only: bool = False) -> Iterator:
-    """Every reduced word with |w| <= max_len, in shortlex order as the
-    walk reaches it, in chunks join(t, [u + cell(length), ...]), t + u the
-    word's label: empty for the empty word, and for a child its parent's
-    (root at the empty word) plus label(last, x), x its letter and last
-    its parent's (0 at the root).  The size is checked at the call.  Level
-    L's rows are only those of the level-m words level_m[share], and
-    last_only drops the levels below L.
+def _level_rows(rep: Representation, max_len: int, empty, root, cell, label, join,
+                share: slice = slice(None), last_only: bool = False) -> Iterator:
+    """Every reduced word with |w| <= max_len in shortlex order, in chunks
+    join(t, [u + cell(length), ...]), t + u the word's label: empty for the
+    empty word, else label(its parent's, its last letter) from root.  The
+    caller checks the size.  Level L's rows are only those of the level-m
+    words level_m[share], and last_only drops those below L.
 
-    Images are integer matrices, denominators kept as valuations v.  The
-    walk meets in the middle at m = _half(rank, L): levels 1..m grow
-    letter by letter, a chunk each (t = root), and level m is kept as
-    prefixes.  Past m, a chunk is a group: a prefix P and a letter x not
-    cancelling its last, t their label, then each suffix x S of the
-    level's length, kept per x and grown as the level begins, u the label
-    of S after x.  Its trace is the dot product of the images of P and
-    x S.  This is shortlex, as |P| is fixed; at rank >= 2 the walk holds
-    O(sqrt(ball)) words, and a chunk a level up to m or (2r - 1)^(L - m - 1)
-    rows.  A length is 2(v - k), p^k = gcd(tr, p^v); p^v and each (v, p^k)'s
-    cell are memoized, and past m resolved per suffix once per (x, v_P) and
-    level.  Only up to m, where at rank 1 it saves a gcd as long as the
-    word, a trace that p does not divide skips the gcd.
+    Images are integer matrices, denominators kept as valuations v.  One
+    ball_levels walk grows levels 1..m = _half(rank, L), each word once, a
+    chunk per level (t = root).  Past m, a chunk is a group: a level-m
+    prefix P (t its label) and a letter x not cancelling its last, then
+    each word x S of the level's length (u its label after P: x's after a
+    letter, then x S's without x's), a run of one of the walk's levels
+    kept up to L - m, none at rank 1.  Its trace is the dot product of P's
+    and x S's images: shortlex, as |P| is fixed.  At rank >= 2 the walk
+    holds O(sqrt(ball)) words, a chunk up to (2r - 1)^(L - m - 1) rows or
+    one level up to m.  A length is 2(v - k), p^k = gcd(tr, p^v); p^v, each
+    from the largest built so far, and each (v, p^k)'s cell are memoized,
+    and past m resolved per suffix once per (x, v_P) and level.  Only up
+    to m, where rank 1 needs it, does a trace p does not divide skip gcd.
     """
-    check_ball("spectrum", rep.presentation.rank, max_len, max_words)
-    p, letters = rep.context.p, rep._letters
-    half = _half(rep.presentation.rank, max_len)
+    p, rank = rep.context.p, rep.presentation.rank
+    half = _half(rank, max_len)
     images = {x: (a, b, c, d, _val_fraction(den, p))
-              for x, (a, b, c, d, den) in letters.items()}
-    # per last letter (0 for the empty word): each child letter with its
-    # image, denominator valuation and the label it appends to its parent's
-    children = {last: tuple((x, *images[x], label(last, x)) for x in xs)
-                for last, xs in letter_children(rep.presentation.rank).items()}
-    by_v = _Memo(lambda v: (p ** v, _Memo(  # and a memo of each p^k's cell
+              for x, (a, b, c, d, den) in rep._letters.items()}
+    cut = {x: len(label(root, x)) for x in images}  # x's part of x S's label
+    after = {x: label(label(root, x), x)[cut[x]:] for x in images}  # x's label after a letter
+    top = [0, 1]  # the largest v whose p^v is built, and p^v
+
+    def power(v):
+        if v >= top[0]:
+            top[:] = v, top[1] * p ** (v - top[0])
+        return top[1] if v == top[0] else p ** v
+
+    by_v = _Memo(lambda v: (power(v), _Memo(  # and a memo of each p^k's cell
         lambda g: cell(2 * (v - _exponent(g, v, lambda k: by_v[k][0]))))))
 
-    def grow(level):
-        """Each child of each word of level, in order."""
-        return [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, v + vl,
-                 t + name, x)
-                for a, b, c, d, v, t, last in level
-                for x, e, f, g, h, vl, name in children[last]]
+    def step(state, x):
+        a, b, c, d, v, t = state
+        e, f, g, h, vl = images[x]
+        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, v + vl, label(t, x)
 
     def prefixes(n, level):
         """The level-m words whose rows of level n are yielded."""
@@ -156,22 +156,23 @@ def _level_rows(rep: Representation, max_len: int, max_words: int, empty, root,
     def rows():
         if not last_only:
             yield join(root, [empty + cell(0)])
-        level = [(1, 0, 0, 1, 0, root, 0)]
-        for n in range(1, half + 1):
-            level = grow(level)
-            if words := prefixes(n, level):  # no empty chunk, which may end the writer
-                yield join(root, [t + cell_at(a + d, v) for a, b, c, d, v, t, _ in words])
-        # the suffixes x S of length j + 1, per first letter x
-        tails = {x: [(*image, root, x)] for x, *image, _ in children[0]}
-        for j in range(max_len - half):
-            if j:
-                tails = {x: grow(level_x) for x, level_x in tails.items()}
+        suffixes = []  # per level 1..L - m, each first letter x's run of x S, labelled after P
+        for n, level in enumerate(ball_levels(rank, half, (1, 0, 0, 1, 0, root), step)):
+            if n and (words := prefixes(n, level)):  # no empty chunk, which may end the writer
+                yield join(root, [t + cell_at(a + d, v) for (a, b, c, d, v, t), _ in words])
+            if 0 < n <= max_len - half:
+                run = len(level) // (2 * rank)
+                suffixes.append({x: [(*image, after[x] + t[cut[x]:])
+                                     for (*image, t), _ in level[i * run:(i + 1) * run]]
+                                 for i, x in enumerate(letter_alphabet(rank))})
+        for n, runs in enumerate(suffixes, half + 1):
             resolved = _Memo(lambda key: [(e, f, g, h, *by_v[key[1] + vs], s)
-                                          for e, f, g, h, vs, s, _ in tails[key[0]]])
-            for a, b, c, d, v, t, last in prefixes(half + j + 1, level):
-                for x, *_, name in children[last]:
-                    yield join(t + name, [s + cells[gcd(a * e + b * g + c * f + d * h, pw)]
-                                          for e, f, g, h, pw, cells, s in resolved[x, v]])
+                                          for e, f, g, h, vs, s in runs[key[0]]])
+            for (a, b, c, d, v, t), last in prefixes(n, level):
+                for x in runs:
+                    if x != -last:
+                        yield join(t, [s + cells[gcd(a * e + b * g + c * f + d * h, pw)]
+                                       for e, f, g, h, pw, cells, s in resolved[x, v]])
 
     return rows()
 
@@ -180,8 +181,8 @@ def spectrum(rep: Representation, max_len: int,
              max_words: int = DEFAULT_WORD_CAP) -> LengthSpectrum:
     """Lengths of every reduced word with |w| <= max_len, shortlex order:
     spectrum_rows's loop with letter tuples as labels, cells (length,)."""
-    chunks = _level_rows(rep, max_len, max_words, (), (), lambda ell: (ell,),
-                         lambda last, x: (x,),
+    check_ball("spectrum", rep.presentation.rank, max_len, max_words)
+    chunks = _level_rows(rep, max_len, (), (), lambda ell: (ell,), lambda t, x: t + (x,),
                          lambda t, items: [(_trusted_word(t + u[:-1]), u[-1]) for u in items])
     return LengthSpectrum(rep.presentation, rep.context.p, max_len,
                           tuple(chain.from_iterable(chunks)), rep.fundamental())
@@ -278,13 +279,13 @@ def _spectrum_writer(rep: Representation, max_len: int,
                     code = 1  # nothing the parent holds is flushed or run twice
                     try:
                         _stream_rows(
-                            rows, _text_rows(rep, max_len, max_words, share, True), parent)
+                            rows, _text_rows(rep, max_len, share, True), parent)
                         code = 0
                     finally:
                         os._exit(code)
                 workers[pid] = rows
             write_tsv(out, rep.presentation, rep.context.p, max_len, fingerprint,
-                      _text_rows(rep, max_len, max_words, own))
+                      _text_rows(rep, max_len, own))
             for pid in list(workers):
                 status = os.waitpid(pid, 0)[1]
                 with workers.pop(pid) as rows:

@@ -1,4 +1,4 @@
-"""Group words, presentations, parsing and reduced-word enumeration.
+"""Group words, presentations, parsing and the shortlex walk of reduced words.
 
 A word is a flat sequence of nonzero signed integers: letter +i is the
 i-th generator (1-based), letter -i its inverse.  Text form uses the
@@ -408,30 +408,23 @@ def ball_size(rank: int, max_len: int) -> int:
     return sum(sphere_sizes(2 * rank, max_len))
 
 
-def letter_children(rank: int) -> Dict[int, Tuple[int, ...]]:
-    """The letters that may follow each last letter of a reduced word (0
-    for the empty word), in shortlex order: the alphabet minus the last
-    letter's inverse."""
-    alphabet = letter_alphabet(rank)
-    return {last: tuple(x for x in alphabet if x != -last)
-            for last in (0,) + alphabet}
+def ball_levels(rank: int, max_len: int, root, step) -> Iterator[List[Tuple[object, int]]]:
+    """Each level 0..max_len of the reduced-word ball, grown only when
+    asked for, as a shortlex list of (state, last letter), 0 for the empty
+    word: the one walk of ball, the commutator scan and the spectrum.
 
-
-def ball_walk(rank: int, max_len: int, root, step) -> Iterator[Tuple[tuple, object]]:
-    """(letters, state) for each reduced word of length 0..max_len, in
-    shortlex order; no Word is built.
-
-    Growing each level's sorted words by letter_children keeps the next
-    level sorted.  The empty word's state is root and a child's is
-    step(parent_state, letter).
+    The empty word's state is root and a child's is step(parent_state,
+    letter); no Word is built.  Growing each word of a sorted level by the
+    alphabet minus its last letter's inverse keeps the next level sorted,
+    so the words of a level that start with one letter are a run.
     """
-    children = letter_children(rank)
-    level = [((), root)]
-    yield level[0]
+    alphabet = letter_alphabet(rank)
+    children = {last: [x for x in alphabet if x != -last] for last in (0,) + alphabet}
+    level = [(root, 0)]
+    yield level
     for _ in range(max_len):
-        level = [(stem + (x,), step(state, x)) for stem, state in level
-                 for x in children[stem[-1] if stem else 0]]
-        yield from level
+        level = [(step(state, x), x) for state, last in level for x in children[last]]
+        yield level
 
 
 def ball(
@@ -446,8 +439,8 @@ def ball(
     the ball is always the free-group ball over the generator alphabet.
     """
     check_ball("ball", presentation.rank, max_len, max_words)
-    walk = ball_walk(presentation.rank, max_len, None, lambda state, x: None)
-    return [_trusted_word(u) for u, _ in walk]
+    levels = ball_levels(presentation.rank, max_len, (), lambda u, x: u + (x,))
+    return [_trusted_word(u) for level in levels for u, _ in level]
 
 
 # -- Dehn reduction ------------------------------------------------------

@@ -322,11 +322,13 @@ def inverse_mod_prime_power(q, p, k):
 
 def commutator_words(rank, max_total_len):
     """The words u v u^-1 v^-1 of commutator_trace_scan, in its order: a
-    plain double loop over the shortlex ball of the library's ball_walk,
-    keeping the pairs with |u| + |v| <= max_total_len."""
-    from sl2trees.words import ball_walk
-
-    ball = [u for u, _ in ball_walk(rank, max_total_len, None, lambda state, x: None)]
+    plain double loop over the shortlex ball, enumerated by brute force as
+    the letter products with no x x^-1, keeping the pairs with |u| + |v|
+    <= max_total_len."""
+    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    ball = [u for n in range(max_total_len + 1)
+            for u in itertools.product(alphabet, repeat=n)
+            if all(u[i] != -u[i + 1] for i in range(n - 1))]
 
     def inv(w):
         return tuple(-x for x in reversed(w))

@@ -546,6 +546,21 @@ def test_conjugacy_rejects_different_fingerprints():
             assert conjugacy_test(r1, r2) == (i == j)
 
 
+def test_conjugacy_is_over_gl2_not_sl2():
+    # fundamental-trace equality decides conjugacy in GL2(Q) (Skolem-Noether):
+    # b2 = h b h^-1 for h = diag(2, 1), of determinant 2.  Both images are
+    # absolutely irreducible, so every conjugator is a scalar l h, of
+    # determinant 2 l^2 != 1: no SL2(Q) element conjugates the two
+    a = SL2Matrix(((3, 0), (0, Fraction(1, 3))), CTX)
+    b = SL2Matrix(((1, 1), (1, 2)), CTX)
+    b2 = SL2Matrix(((1, 2), (Fraction(1, 2), 2)), CTX)
+    (e, f), (g, k) = b.rows()
+    assert b2.rows() == ((e, 2 * f), (g / 2, k))  # h b h^-1
+    rep, rep2 = free2_rep(CTX, a, b), free2_rep(CTX, a, b2)
+    assert conjugacy_test(rep, rep2) is True
+    assert algebra_dimension(rep) == algebra_dimension(rep2) == 4
+
+
 def test_conjugacy_preconditions():
     with pytest.raises(PreconditionNotMetError):
         conjugacy_test(sl2z_pair(CTX), sl2z_pair(CTX))

@@ -436,10 +436,10 @@ def test_failed_spectrum_worker_is_a_clean_failure(capsys, rep_path, monkeypatch
                                                     fork_calls):
     text_rows = spectrum_module._text_rows
 
-    def failing(rep, max_len, max_words, share=slice(None), last_only=False):
+    def failing(rep, max_len, share=slice(None), last_only=False):
         if last_only:  # only in a worker
             raise RuntimeError("worker fault")
-        return text_rows(rep, max_len, max_words, share, last_only)
+        return text_rows(rep, max_len, share, last_only)
 
     monkeypatch.setattr(spectrum_module, "_text_rows", failing)
     use_cpus(monkeypatch, 2)

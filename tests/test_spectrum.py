@@ -48,6 +48,7 @@ from conftest import (
 )
 
 CTX = PrimeContext(3)
+spectrum_module = sys.modules["sl2trees.spectrum"]
 
 EXPECTED_TSV = """# presentation\tfree(2)
 # prime\t3
@@ -122,21 +123,35 @@ def test_spectrum_rows_stream_the_spectrum():
 
 
 def test_spectrum_walks_the_ball_once(monkeypatch):
-    # spectrum() is spectrum_rows's loop with letter tuples as
-    # labels: no module's ball_walk is called beside it
-    def refuse(*args):
-        raise AssertionError("spectrum() walked the ball a second time")
+    # spectrum() is spectrum_rows's loop with letter tuples as labels, and
+    # one walk grows each word of levels 1..m once: ball_size(rank, m) - 1
+    # steps, the suffixes past m read from its own levels
+    walk = spectrum_module.ball_levels
+    steps = []
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sl2trees") and hasattr(module, "ball_walk"):
-            monkeypatch.setattr(module, "ball_walk", refuse)
+    def counted(rank, max_len, root, step):
+        steps.append(0)
+
+        def counted_step(state, x):
+            steps[-1] += 1
+            return step(state, x)
+
+        return walk(rank, max_len, root, counted_step)
+
+    monkeypatch.setattr(spectrum_module, "ball_levels", counted)
     rng = random.Random(6605)
     a, b = random_noncommuting_pair(rng, CTX, steps=3)
     genus2 = Representation(
         Presentation.surface(2), {"a1": a, "b1": b, "a2": b, "b2": a})
     free2 = unbounded_irreducible_rep(CTX)
-    for rep, max_len in ((free2, 0), (free2, 1), (free2, 5), (genus2, 3)):
+    free1 = Representation(Presentation.free(1), {"a": a})
+    for rep, max_len in ((free2, 0), (free2, 1), (free2, 5), (free2, 6), (genus2, 3),
+                         (free1, 4)):
+        rank = rep.presentation.rank
+        m = max_len if rank == 1 else (max_len + 1) // 2
+        steps.clear()
         spec = spectrum(rep, max_len)
+        assert steps == [ball_size(rank, m) - 1]
         assert all(type(w) is Word for w, _ in spec.entries)
         assert [f"{word_to_text(w, rep.presentation)}\t{ell}\n"
                 for w, ell in spec.entries] == list(spectrum_rows(rep, max_len))
@@ -202,9 +217,6 @@ def example_rep(group, p, *gens):
         return Representation(Presentation.surface(2), dict(zip(("a1", "b1", "a2", "b2"),
                                                                 mats + mats[::-1])))
     return Representation(Presentation.free(len(mats)), dict(zip("abc", mats)))
-
-
-spectrum_module = sys.modules["sl2trees.spectrum"]
 
 
 # odd L, where the walk's midpoint split is uneven, L = m + 1, p = 2, and

@@ -201,15 +201,16 @@ def test_ball_counts_frozen():
 
 
 def test_ball_matches_brute_enumeration():
-    alphabet = letter_alphabet(2)
-    brute = set()
-    for n in range(5):
-        for tup in itertools.product(alphabet, repeat=n):
-            if all(tup[i] != -tup[i + 1] for i in range(n - 1)):
-                brute.add(tup)
-    words = ball(FREE2, 4)
-    assert {w.letters for w in words} == brute
-    assert len(words) == len(brute) == ball_size(2, 4)
+    for rank, max_len in ((2, 4), (1, 0), (1, 5), (3, 1), (3, 5)):
+        alphabet = letter_alphabet(rank)
+        brute = set()
+        for n in range(max_len + 1):
+            for tup in itertools.product(alphabet, repeat=n):
+                if all(tup[i] != -tup[i + 1] for i in range(n - 1)):
+                    brute.add(tup)
+        words = ball(Presentation.free(rank), max_len)
+        assert {w.letters for w in words} == brute
+        assert len(words) == len(brute) == ball_size(rank, max_len)
 
 
 def test_ball_shortlex_order():
