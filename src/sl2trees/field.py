@@ -20,12 +20,15 @@ INFINITY = math.inf
 
 RationalLike = Union[int, str, Fraction]
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic for n < psi_13 =
+# 3317044064679887385961981 (Sorenson and Webster 2015); without 41 the
+# composite psi_12 = 318665857834031151167461 passes.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the supported prime range."""
+    """Deterministic primality test for n < psi_13; PrimeContext refuses
+    every larger n, since no test here certifies it."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -81,6 +84,9 @@ class PrimeContext:
     def __post_init__(self):
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise PrimeNotPrimeError(f"not a prime: {self.p!r}")
+        if self.p >= 3317044064679887385961981:  # psi_13, see _MR_WITNESSES
+            raise PrimeNotPrimeError(f"not a certified prime: {self.p}; primality is "
+                                     "certified below psi_13 = 3317044064679887385961981")
 
     def valuation(self, q) -> Union[int, float]:
         """Valuation of an int or Fraction; math.inf for 0."""

@@ -11,7 +11,10 @@ the result is the unique polynomial of degree <= 1 in t123; at rank >= 4
 the key fixes it.  Caches never change an output, and a term budget per
 call bounds time and memory whatever ran before.  A monomial is one int:
 variable k, numbered on first use, has its exponent in bits
-[W*k, W*(k+1)), so monomials multiply by adding.
+[W*k, W*(k+1)), so monomials multiply by adding; tr(w) has degree at most
+len(w), and words of 2^(W-1) letters or more are refused, so no field
+overflows.  The result is a TracePolynomial, read by terms(), text() and
+evaluate().
 """
 
 from __future__ import annotations
@@ -36,12 +39,7 @@ _VAR_BIT: Dict[VarKey, int] = {}  # variable -> its monomial, in numbering order
 
 
 def _var(s: VarKey) -> int:
-    bit = _VAR_BIT.get(s)
-    if bit is None:  # first use: the one check every key passes
-        if not s or s[0] < 1 or not all(a < b for a, b in zip(s, s[1:])):
-            raise ValidationError(f"variable index must be increasing and >= 1: {s}")
-        bit = _VAR_BIT[s] = 1 << (_W * len(_VAR_BIT))
-    return bit
+    return _VAR_BIT.setdefault(s, 1 << (_W * len(_VAR_BIT)))  # numbered on first use
 
 
 def _decode(mono: int) -> Monomial:
@@ -49,14 +47,6 @@ def _decode(mono: int) -> Monomial:
     for k in range((mono.bit_length() + _W - 1) // _W):
         factors += [names[k]] * ((mono >> (_W * k)) & _FIELD)
     return tuple(sorted(factors, key=_var_order))
-
-
-def _add_into(acc: Packed, p: Packed, c: int = 1, shift: int = 0) -> None:
-    """acc += c * x^shift * p in place, x^shift a packed monomial."""
-    get = acc.get
-    for m, x in p.items():
-        m += shift
-        acc[m] = get(m, 0) + c * x
 
 
 def _clean(acc: Packed) -> Packed:
@@ -72,17 +62,10 @@ def variable_name(s: VarKey) -> str:
 
 
 class TracePolynomial:
-    """Integer polynomial in the fundamental trace variables t_S."""
+    """The trace pass's result, an integer polynomial in the fundamental
+    trace variables t_S: read it with terms(), text() and evaluate()."""
 
     __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, int] = ()):
-        packed: Packed = {}
-        for mono, coeff in dict(terms).items():
-            if len(mono) >= _EXP_LIMIT:
-                raise CapExceededError(f"a monomial degree reached {_EXP_LIMIT}")
-            _add_into(packed, {sum(map(_var, mono)): coeff})
-        self._terms = _clean(packed)
 
     @classmethod
     def _of(cls, packed: Packed) -> "TracePolynomial":
@@ -90,22 +73,8 @@ class TracePolynomial:
         out._terms = packed
         return out
 
-    @classmethod
-    def constant(cls, c: int) -> "TracePolynomial":
-        return cls._of({0: c} if c else {})
-
-    @classmethod
-    def variable(cls, s: VarKey) -> "TracePolynomial":
-        return cls._of({_var(s): 1})
-
     def terms(self) -> Dict[Monomial, int]:
         return {_decode(m): c for m, c in self._terms.items()}
-
-    def variables(self):
-        return sorted({v for mono in self.terms() for v in mono}, key=_var_order)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -115,38 +84,17 @@ class TracePolynomial:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms().items()))
+        if self._terms.keys() <= {0}:  # a constant hashes as the int it equals
+            return hash(self._terms.get(0, 0))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
+        """The polynomial plus an int."""
+        if not isinstance(other, int):
+            return NotImplemented
         out = dict(self._terms)
-        _add_into(out, _as_poly(other)._terms)
+        out[0] = out.get(0, 0) + other
         return TracePolynomial._of(_clean(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TracePolynomial._of({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        p, q = self._terms, _as_poly(other)._terms
-        if len(p) < len(q):
-            p, q = q, p  # one shifted, scaled copy per term of the shorter
-        out: Packed = {}
-        for shift, c in q.items():
-            _add_into(out, p, c, shift)
-        out = _clean(out)
-        guard = sum(_VAR_BIT.values()) << (_W - 1)  # each field's top bit
-        if any(m & guard for m in out):
-            raise CapExceededError(f"an exponent reached {_EXP_LIMIT}")
-        return TracePolynomial._of(out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, values: Mapping[VarKey, object]):
         """Plug exact values in for the variables; stays exact.
@@ -200,14 +148,6 @@ class TracePolynomial:
 
     def __repr__(self):
         return f"TracePolynomial({self.text()})"
-
-
-def _as_poly(x) -> TracePolynomial:
-    if isinstance(x, TracePolynomial):
-        return x
-    if isinstance(x, int):
-        return TracePolynomial.constant(x)
-    raise TypeError(f"cannot combine TracePolynomial with {x!r}")
 
 
 # -- the trace pass ------------------------------------------------------
@@ -306,7 +246,7 @@ def trace_polynomial(w: Word, rank: int) -> TracePolynomial:
         raise CapExceededError(f"words of {_EXP_LIMIT} letters or more are not traced")
     letters = _cyclic_reduce_letters(w.letters)
     if not letters:
-        return TracePolynomial.constant(2)
+        return TracePolynomial._of({0: 2})
     key = _canonical_key(letters)
     poly = _WORDS.get(key)
     if poly is None:

@@ -354,8 +354,8 @@ def fraction_fold(letters, gens):
 
 class TuplePoly:
     """Integer polynomial keyed by tuples of variable tuples, each monomial
-    its factors sorted by (len, indices): the plain representation the
-    packed-monomial TracePolynomial must agree with."""
+    its factors sorted by (len, indices): the ring ch_trace computes in, and
+    its only user."""
 
     def __init__(self, terms):
         self.terms = {m: c for m, c in terms.items() if c}

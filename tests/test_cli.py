@@ -532,6 +532,13 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 1 and err.startswith("error: not valid JSON")
+    # psi_12, composite, and psi_13, past the range the primality test certifies
+    for prime in (318665857834031151167461, 3317044064679887385961981):
+        bad.write_text(open(rep_path).read().replace('"prime": 3', f'"prime": {prime}'))
+        for argv in (["classify", str(bad)], ["length", str(bad), "a b"]):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: not a ") and str(prime) in err
 
 
 @pytest.mark.parametrize("genus", [10**6, 10**8])

@@ -31,9 +31,16 @@ def test_is_prime_large():
     assert not is_prime(2 ** 61 + 1)
     # strong pseudoprime to several bases, composite
     assert not is_prime(3215031751)
+    # psi_12, the least strong pseudoprime to the 12 prime bases 2..37:
+    # witness 41 catches it; the largest prime below psi_13 is certified
+    assert not is_prime(399165290221 * 798330580441)
+    assert PrimeContext(3317044064679887385961813).p == 3317044064679887385961813
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, -3, 100])
+# the last two: psi_12, and psi_13 = 1287836182261 * 2575672364521, which
+# passes all 13 witnesses and is refused as past the certified range
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, -3, 100, 318665857834031151167461,
+                                 3317044064679887385961981])
 def test_context_rejects_nonprime(bad):
     with pytest.raises(PrimeNotPrimeError):
         PrimeContext(bad)
