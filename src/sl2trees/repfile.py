@@ -153,7 +153,8 @@ def load_representation(path: str) -> Representation:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:  # also ints past the 4300-digit limit
+        # also ints past the 4300-digit limit, and nesting past the stack
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"not valid JSON: {exc}") from exc
     return parse_representation(data)
 

@@ -148,8 +148,6 @@ class Presentation:
                 raise ValidationError(
                     f"generator name {name!r} must match [a-z][a-z0-9]*"
                 )
-            if name == "1":
-                raise ValidationError("'1' is reserved for the empty word")
             if name in seen:
                 raise ValidationError(f"duplicate generator name {name!r}")
             seen.add(name)
@@ -202,103 +200,14 @@ class Presentation:
         rels = "; ".join(word_to_text(r, self) for r in self.relators)
         return f"explicit({', '.join(self.generators)} | {rels})"
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self)
-
-    def text(self, w: Word) -> str:
-        return word_to_text(w, self)
-
 
 # -- parsing ------------------------------------------------------------
 
 # "1" lexes as an int, so ^10 stays whole; as a term it is the empty word.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[a-z][a-z0-9]*)|(?P<prime>')|(?P<caret>\^)"
-    r"|(?P<int>[+-]?\d+)|(?P<open>\()|(?P<close>\)))"
+    r"|(?P<int>[+-]?\d+)|(?P<open>\()|(?P<close>\))|(?P<bad>\S))"
 )
-
-
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise WordSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, name_index: Dict[str, int], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = name_index
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def parse_word(self, stop_at_close: bool = False) -> List[int]:
-        letters: List[int] = []
-        while True:
-            tok = self.peek()
-            if tok is None or (stop_at_close and tok[0] == "close"):
-                return letters
-            base, power = self.parse_term()
-            check_size("word", "letters", DEFAULT_WORD_CAP, (
-                len(letters), None if power is None else len(base) * power))
-            letters.extend(base * power)
-
-    def parse_term(self) -> Tuple[List[int], Optional[int]]:
-        """One term as (letters, power), the power left unexpanded, or None
-        past the 4300 digits int() reads."""
-        tok = self.take()
-        if tok is None:
-            raise WordSyntaxError("unexpected end of input", self.length)
-        kind, value, at = tok
-        if kind == "name":
-            if value not in self.names:
-                raise UnknownGeneratorError(f"unknown generator {value!r}")
-            base = [self.names[value]]
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "prime":
-                self.take()
-                base = [-base[0]]
-        elif kind == "int" and value == "1":
-            base = []
-        elif kind == "open":
-            base = self.parse_word(stop_at_close=True)
-            closing = self.take()
-            if closing is None or closing[0] != "close":
-                raise WordSyntaxError("unbalanced '('", at)
-        else:
-            raise WordSyntaxError(f"unexpected token {value!r}", at)
-        power = 1
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "caret":
-            self.take()
-            exp_tok = self.take()
-            if exp_tok is None or exp_tok[0] != "int":
-                where = exp_tok[2] if exp_tok else self.length
-                raise WordSyntaxError("'^' must be followed by an integer", where)
-            try:
-                power = int(exp_tok[1].lstrip("+-").lstrip("0") or "0") if base else 0
-            except ValueError:
-                power = None
-            if exp_tok[1].startswith("-"):
-                base = [-x for x in reversed(base)]
-        return base, power
 
 
 def parse_word(text: str, presentation: Presentation) -> Word:
@@ -306,13 +215,64 @@ def parse_word(text: str, presentation: Presentation) -> Word:
 
     Powers are expanded and inverses pushed onto letters, but the result
     is not freely reduced; reduction stays a separate, explicit step.
+    One loop walks the tokens with a stack of open groups, so nesting
+    depth costs no recursion, and each power is checked before it is
+    expanded against the letters held by every open group together.
     """
-    parser = _Parser(_tokenize(text), presentation.name_index, len(text))
-    letters = parser.parse_word()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise WordSyntaxError(f"unexpected token {leftover[1]!r}", leftover[2])
-    return Word(tuple(letters))
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":  # placed where its leading whitespace starts
+            raise WordSyntaxError(f"unexpected character {m[kind]!r}", m.start())
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    names = presentation.name_index
+    groups: List[List[int]] = [[]]  # the word's letters, then each open group's
+    opens: List[int] = []  # where each open group's '(' stands
+    held = 0  # the letters of all groups together
+    i = 0  # the next token
+    while True:
+        kind, value, at = tokens[i]
+        i += 1
+        if kind == "name":
+            if value not in names:
+                raise UnknownGeneratorError(f"unknown generator {value!r}")
+            base = [names[value]]
+            if tokens[i][0] == "prime":
+                i += 1
+                base = [-base[0]]
+        elif kind == "int" and value == "1":
+            base = []
+        elif kind == "open":
+            groups.append([])
+            opens.append(at)
+            continue
+        elif kind == "close" and opens:
+            opens.pop()
+            base = groups.pop()
+            held -= len(base)
+        elif kind == "end":
+            if opens:
+                raise WordSyntaxError("unbalanced '('", opens[-1])
+            return Word(tuple(groups[0]))
+        else:
+            raise WordSyntaxError(f"unexpected token {value!r}", at)
+        power = 1
+        if tokens[i][0] == "caret":
+            kind, value, at = tokens[i + 1]
+            i += 2
+            if kind != "int":
+                raise WordSyntaxError("'^' must be followed by an integer", at)
+            try:  # None past the 4300 digits int() reads
+                power = int(value.lstrip("+-").lstrip("0") or "0") if base else 0
+            except ValueError:
+                power = None
+            if value.startswith("-"):
+                base = [-x for x in reversed(base)]
+        check_size("word", "letters", DEFAULT_WORD_CAP,
+                   (held, None if power is None else len(base) * power))
+        groups[-1].extend(base * power)
+        held += len(base) * power
 
 
 def word_texts(ws: Iterable[Tuple[int, ...]], presentation: Presentation) -> Iterator[str]:

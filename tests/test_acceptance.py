@@ -28,6 +28,7 @@ from sl2trees import (
     fundamental_traces,
     is_bounded,
     is_reducible_over_rationals,
+    parse_word,
     spectrum,
     trace_polynomial,
     translation_length,
@@ -131,7 +132,7 @@ def test_criterion_03_trace_polynomial_equals_direct_trace():
             assert poly.evaluate(fundamental_traces(mats)) == direct
     # the commutator trace certifies irreducibility for the integral pair
     pres = Presentation.free(2)
-    commutator = pres.parse("a b a' b'")
+    commutator = parse_word("a b a' b'", pres)
     value = trace_polynomial(commutator, 2).evaluate(
         fundamental_traces(sl2z_pair(PrimeContext(3)).matrices))
     assert value == 3 and value != 2

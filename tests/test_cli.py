@@ -532,6 +532,11 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 1 and err.startswith("error: not valid JSON")
+    # nested past the stack json's decoder recurses on
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["classify", str(bad)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: not valid JSON")
     # psi_12, composite, and psi_13, past the range the primality test certifies
     for prime in (318665857834031151167461, 3317044064679887385961981):
         bad.write_text(open(rep_path).read().replace('"prime": 3', f'"prime": {prime}'))
@@ -695,6 +700,11 @@ PRIMES = st.one_of(st.sampled_from(["2", "3", "5"]), NUMBERS)
 POWERS = st.builds("{}^{}".format, st.sampled_from(["a", "a'", "b", "b'", "1", "c"]),
                    NUMBERS)
 WORDS = st.lists(POWERS, min_size=1, max_size=3).map(" ".join)
+# free-form word text: the grammar's tokens in any order, a name the
+# generators lack, and a character no token starts with
+TEXTS = st.lists(st.one_of(
+    st.sampled_from(["a", "b", "c", "b1", "'", "^", "(", ")", " ", " ", "$"]),
+    NUMBERS, INTS.map("{:+d}".format)), max_size=12).map("".join)
 VERTICES = st.one_of(
     st.builds("({}; {})".format, NUMBERS, NUMBERS),
     st.builds("({}; {}/{})".format, NUMBERS, NUMBERS, NUMBERS),
@@ -727,9 +737,11 @@ def _argv(data, reps):
         return ["spectrum", data.draw(st.sampled_from(reps)),
                 "--max-len", data.draw(NUMBERS), "--max-words", data.draw(SMALL_CAPS)]
     if command == "length":
-        return ["length", integral] + data.draw(st.lists(WORDS, min_size=1, max_size=2))
+        return ["length", integral] + data.draw(
+            st.lists(st.one_of(WORDS, TEXTS), min_size=1, max_size=2))
     if command == "trace-poly":
-        word = data.draw(st.lists(POWERS, min_size=1, max_size=2).map(" ".join))
+        word = data.draw(st.one_of(
+            st.lists(POWERS, min_size=1, max_size=2).map(" ".join), TEXTS))
         return ["trace-poly", word, "--rank", data.draw(NUMBERS)]
     if command == "axis":
         path, word = data.draw(st.one_of(
@@ -755,6 +767,8 @@ def _argv(data, reps):
 @example(argv=["trace-poly", "--rank", "8", "(h g f e d c b a)^2"])
 @example(argv=["trace-poly", "--rank", "12", "b^-804 b^12 a^-804"])
 @example(argv=["trace-poly", "--rank", "2", "(a b')^200"])
+@example(argv=["trace-poly", "--rank", "1", "(" * 3000 + "a" + ")" * 3000])
+@example(argv=["trace-poly", "--rank", "1", "(a^499999 " * 40])
 @given(argv=st.data())
 def test_cli_fuzz_exits_cleanly(fuzz_reps, argv):
     if not isinstance(argv, list):

@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from sl2trees import word_to_text
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -28,7 +30,7 @@ def test_readme_python_blocks_give_their_commented_values():
     assert values["translation_length(a * b)"] == 2
     assert values["report.bounded"] is False
     witness = values["report.unbounded_witness"]
-    assert namespace["rep"].presentation.text(witness) == "a"
+    assert word_to_text(witness, namespace["rep"].presentation) == "a"
     assert values["report.absolutely_irreducible"] is True
     assert values["report.zariski_dense"] is True
     assert values["distance(v, w)"] == 6

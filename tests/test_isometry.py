@@ -18,6 +18,7 @@ from sl2trees import (
     classify,
     distance,
     fixed_vertex,
+    parse_word,
     rational_eigenlines,
     translation_length,
 )
@@ -198,7 +199,7 @@ def test_axis_is_the_leg_by_leg_window(p, k, window, rng):
 def test_far_axis_window_is_fast():
     # translating the projection step by step took 81.6 s here
     rep = unbounded_irreducible_rep(PrimeContext(3))
-    g = rep.evaluate(rep.presentation.parse("b a"))
+    g = rep.evaluate(parse_word("b a", rep.presentation))
     start = time.perf_counter()
     seg = axis_segment(g, 8000)
     assert time.perf_counter() - start < 2.0
@@ -214,7 +215,7 @@ def test_long_axis_window_is_linear():
     # of p reduces them (0.4-0.8 s on a 2-core host); recomputing p^(k+e)
     # at each reduction took 2.1-3.3 s there
     rep = unbounded_irreducible_rep(PrimeContext(3))
-    g = rep.evaluate(rep.presentation.parse("b a"))
+    g = rep.evaluate(parse_word("b a", rep.presentation))
     start = time.perf_counter()
     seg = axis_segment(g, 20_000)
     assert time.perf_counter() - start < 1.2

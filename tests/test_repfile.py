@@ -17,6 +17,7 @@ from sl2trees import (
     parse_representation,
     representation_to_data,
     save_representation,
+    word_to_text,
 )
 
 from conftest import sl2z_pair, unbounded_irreducible_rep
@@ -85,8 +86,8 @@ def test_round_trip_explicit(tmp_path):
     save_representation(rep, str(path))
     back = load_representation(str(path))
     assert back.presentation.kind == "explicit"
-    assert [back.presentation.text(r) for r in back.presentation.relators] == [
-        "x y x' y'"]
+    relators = back.presentation.relators
+    assert [word_to_text(r, back.presentation) for r in relators] == ["x y x' y'"]
     assert back.matrices == rep.matrices
 
 

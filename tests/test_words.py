@@ -111,6 +111,112 @@ def test_parse_errors():
         parse_word("^2", FREE2)
 
 
+def _syntax(message, position):
+    return WordSyntaxError, f"{message} (at position {position})", position
+
+
+def _unknown(name):
+    return UnknownGeneratorError, f"unknown generator {name!r}", None
+
+
+def _cap(total):
+    return CapExceededError, f"word would hold {total} letters, cap is 500000", None
+
+
+# frozen from the recursive parser the one-loop parser replaced: each text
+# gives these letters, or this error type, message and position
+PARSE_TABLE = [
+    ("", ()),
+    (" \t\n", ()),
+    ("1", ()),
+    ("a b' a", (1, -2, 1)),
+    ("a'^2", (-1, -1)),
+    ("a^2'", _syntax('unexpected token "\'"', 3)),
+    ("a''", _syntax('unexpected token "\'"', 2)),
+    ("a^+3 b^-02", (1, 1, 1, -2, -2)),
+    ("a^-0", ()),
+    ("a^007", (1, 1, 1, 1, 1, 1, 1)),
+    ("1^5", ()),
+    ("1^-99999999999", ()),
+    ("()^-2", ()),
+    ("(a b)^-2", (-2, -1, -2, -1)),
+    ("((a)^2 b)^-1", (-2, -1, -1)),
+    ("a 1 b", (1, 2)),
+    ("a\x1cb\xa0b'", (1, 2, -2)),
+    ("c", _unknown("c")),
+    ("a (b c", _unknown("c")),
+    ("a (", _syntax("unbalanced '('", 2)),
+    ("a (b (", _syntax("unbalanced '('", 5)),
+    ("((a) b", _syntax("unbalanced '('", 0)),
+    ("(a))", _syntax("unexpected token ')'", 3)),
+    (")", _syntax("unexpected token ')'", 0)),
+    ("^2", _syntax("unexpected token '^'", 0)),
+    ("'", _syntax('unexpected token "\'"', 0)),
+    ("10", _syntax("unexpected token '10'", 0)),
+    ("a +2", _syntax("unexpected token '+2'", 2)),
+    ("a^", _syntax("'^' must be followed by an integer", 2)),
+    ("a^ ", _syntax("'^' must be followed by an integer", 3)),
+    ("a^b", _syntax("'^' must be followed by an integer", 2)),
+    ("a^)", _syntax("'^' must be followed by an integer", 2)),
+    ("a b^'", _syntax("'^' must be followed by an integer", 4)),
+    ("a  $", _syntax("unexpected character '$'", 1)),
+    ("a\t#b", _syntax("unexpected character '#'", 1)),
+    ("(a !)", _syntax("unexpected character '!'", 2)),
+    ("a b é", _syntax("unexpected character 'é'", 3)),
+    ("c $", _syntax("unexpected character '$'", 1)),
+    ("a^500001", _cap(500001)),
+    ("a^250000 b^250001", _cap(500001)),
+    ("(a b)^250001", _cap(500002)),
+    ("(a^400000) a^100001", _cap(500001)),
+    ("a^" + "9" * 4301, _cap("more than 500000")),
+    ("c^" + "9" * 4301, _unknown("c")),
+    ("a^" + "9" * 4301 + " c", _cap("more than 500000")),
+    ("(a b)^-" + "0" * 4400 + "3", (-2, -1, -2, -1, -2, -1)),
+    ("1^" + "7" * 4400, ()),
+    ("()^" + "9" * 5000, ()),
+    ("a^-" + "9" * 4301 + " $", _syntax("unexpected character '$'", 4304)),
+]
+
+
+def test_parse_table_frozen():
+    for text, expected in PARSE_TABLE:
+        if expected and isinstance(expected[0], type):
+            error, message, position = expected
+            with pytest.raises(error) as info:
+                parse_word(text, FREE2)
+            assert str(info.value) == message, text[:40]
+            assert getattr(info.value, "position", None) == position, text[:40]
+        else:
+            assert parse_word(text, FREE2).letters == expected, text[:40]
+
+
+def test_parse_nesting_costs_no_recursion():
+    # far past the interpreter's recursion limit: no frame per group
+    depth = 100_000
+    assert parse_word("(" * depth + "a" + ")" * depth, FREE2).letters == (1,)
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word("(" * depth + "a" + ")" * (depth - 1), FREE2)
+    assert str(info.value) == "unbalanced '(' (at position 0)"
+
+
+def test_parse_caps_the_letters_of_all_open_groups_together():
+    # each group is under the cap alone, and no ')' closes them; counted
+    # a group at a time, the forty would hold 20 M letters before that
+    # error is found
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            parse_word("(a^499999 " * 40, FREE2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    # the word is 400000 letters, but 800000 are held at once
+    with pytest.raises(CapExceededError) as info:
+        parse_word("(a^400000 (a^400000)^0)", FREE2)
+    assert str(info.value) == "word would hold 800000 letters, cap is 500000"
+
+
 def test_word_to_text_round_trip():
     rng = random.Random(1101)
     for _ in range(200):
@@ -118,11 +224,6 @@ def test_word_to_text_round_trip():
         assert parse_word(word_to_text(w, FREE2), FREE2) == w
     assert word_to_text(Word(()), FREE2) == "1"
     assert word_to_text(Word((1, -2, 1)), FREE2) == "a b' a"
-
-
-def test_presentation_parse_text_shortcuts():
-    w = FREE2.parse("a b'")
-    assert FREE2.text(w) == "a b'"
 
 
 def test_word_letter_validation():
@@ -137,6 +238,8 @@ def test_presentation_name_rules():
         Presentation.free(2, names=["a", "a"])
     with pytest.raises(ValidationError):
         Presentation.free(1, names=["A"])
+    with pytest.raises(ValidationError):  # "1" is the empty word
+        Presentation.free(1, names=["1"])
     with pytest.raises(ValidationError):
         Presentation.free(27)
     with pytest.raises(UnknownGeneratorError):
