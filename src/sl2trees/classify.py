@@ -60,11 +60,11 @@ class Representation:
         object.__setattr__(self, "_letters", letter_table(self.matrices))
         for relator in presentation.relators:
             a, b, c, d, den = checked(scaled_image(relator, self._letters))
-            if (a, b, c, d) != (den, 0, 0, den):
-                raise ValidationError(
-                    "relator does not evaluate to the identity: "
-                    f"{word_to_text(relator, presentation)}"
-                )
+            if (a, b, c, d) != (den, 0, 0, den):  # quote a prefix, not the whole text
+                shown = word_to_text(Word(relator.letters[:20]), presentation)
+                if len(relator) > 20:
+                    shown += f" ... ({len(relator)} letters)"
+                raise ValidationError(f"relator does not evaluate to the identity: {shown}")
 
     @property
     def context(self) -> PrimeContext:

@@ -6,10 +6,13 @@ in the fundamental traces t_S of the 2^n - 1 increasing products x_S
 word's canonical key in the span of 1 and the x_S over the trace ring, by
 x_j' = t_j - x_j, x_j x_j = t_j x_j - 1 and, for i < j,
 x_j x_i = -x_i x_j + t_i x_j + t_j x_i + t_ij - t_i t_j; tr x_S = t_S and
-tr 1 = 2 close it.  No coefficient holds a t_S with |S| >= 3, so at rank 3
-the result is the unique polynomial of degree <= 1 in t123; at rank >= 4
-the key fixes it.  Caches never change an output, and a term budget per
-call bounds time and memory whatever ran before.  A monomial is one int:
+tr 1 = 2 close it.  The pass takes two letters per step through cached
+pair tables; if that overflows the term budget, the word is passed again
+one letter at a time, which never charges more, and that pass decides.
+No coefficient holds a t_S with |S| >= 3, so at rank 3 the result is the
+unique polynomial of degree <= 1 in t123; at rank >= 4 the key fixes it.
+Caches never change an output, and a term budget per call bounds time
+and memory whatever ran before.  A monomial is one int:
 variable k, numbered on first use, has its exponent in bits
 [W*k, W*(k+1)), so monomials multiply by adding; tr(w) has degree at most
 len(w), and words of 2^(W-1) letters or more are refused, so no field
@@ -157,7 +160,10 @@ TERM_BUDGET = 2_000_000  # terms one call may write or read
 # An element is one dict: x^m x_S is the key (m << B) | S, B the largest
 # letter, so x_S -> c x^shift x_T adds the delta (shift << B) + T - S.  A
 # table (B, letters) maps S to the deltas of letters * x_S and the cost of
-# their build, charged again on every read; letter 0 is the trace.
+# their build, charged again on every read; letter 0 is the trace.  A pair
+# entry is built by its two single-letter steps on one term, so a read
+# charges no less than they do on that term; the single-letter pass also
+# merges like terms between the two letters.
 Table = Tuple[int, Tuple[int, ...]]
 _TABLES: Dict[Table, Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]]] = {}
 _WORDS: Dict[Tuple[int, ...], Packed] = {}  # canonical key -> its trace
@@ -253,12 +259,21 @@ def trace_polynomial(w: Word, rank: int) -> TracePolynomial:
         if _HELD[0] > _HOLD_LIMIT:
             _TABLES.clear(), _WORDS.clear()
             _HELD[0] = 0
-        # the last two letters are one entry, the first three a functional
-        b, budget, head = max(map(abs, key)), [TERM_BUDGET], key[:max(0, len(key) - 2)][:3]
-        state = _apply({0: 1}, (b, key[-2:]), budget)
-        for x in reversed(key[len(head):-2]):
-            state = _apply(state, (b, (x,)), budget)
-        state = _apply(state, (b, (0,) + head), budget)
+        # the last two letters are one entry, the first three a functional,
+        # the middle pairs; past the budget single letters decide
+        b, head = max(map(abs, key)), key[:max(0, len(key) - 2)][:3]
+        middle = key[len(head):-2]
+        for step in (2, 1):
+            budget = [TERM_BUDGET]
+            try:
+                state = _apply({0: 1}, (b, key[-2:]), budget)
+                for end in range(len(middle), 0, -step):
+                    state = _apply(state, (b, middle[max(0, end - step):end]), budget)
+                state = _apply(state, (b, (0,) + head), budget)
+                break
+            except CapExceededError:
+                if step == 1:
+                    raise
         poly = _WORDS[key] = {k >> b: c for k, c in state.items()}
         _HELD[0] += len(poly)
     return TracePolynomial._of(poly)

@@ -188,9 +188,12 @@ class Presentation:
     def explicit(
         cls, names: Sequence[str], relators: Sequence[str] = ()
     ) -> "Presentation":
-        base = cls("explicit", tuple(names))
-        parsed = tuple(parse_word(r, base) for r in relators)
-        return cls("explicit", tuple(names), parsed)
+        base, parsed, held = cls("explicit", tuple(names)), [], 0
+        for r in relators:  # the letters of all relators count together
+            parsed.append(parse_word(r, base))
+            check_size("relators", "letters", DEFAULT_WORD_CAP, (held, len(parsed[-1])))
+            held += len(parsed[-1])
+        return cls("explicit", tuple(names), tuple(parsed))
 
     def descriptor(self) -> str:
         if self.kind == "free":

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import resource
@@ -544,6 +545,34 @@ def test_domain_errors_exit_one(capsys, rep_path, tmp_path):
             code, out, err = run(capsys, argv)
             assert code == 1 and out == "" and err.count("\n") == 1
             assert err.startswith("error: not a ") and str(prime) in err
+
+
+def explicit_rep_file(tmp_path, relators, a):
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps({
+        "prime": 3, "group": {"kind": "explicit", "generators": ["a"], "relators": relators},
+        "generators": {"a": a}}))
+    return str(path)
+
+
+def test_failing_relator_is_quoted_by_a_prefix(capsys, tmp_path):
+    # a 137-byte file printed a 1000050-byte error line quoting the relator
+    path = explicit_rep_file(tmp_path, ["a^500000"], [["1", "1"], ["0", "1"]])
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == ("error: relator does not evaluate to the identity: "
+                   + "a " * 20 + "... (500000 letters)\n")
+    assert len(err.encode()) < 200
+
+
+def test_explicit_relators_share_one_letter_cap(capsys, tmp_path):
+    # each relator under the cap on its own, 8 million letters together
+    path = explicit_rep_file(tmp_path, ["a^500000"] * 16, [["1", "0"], ["0", "1"]])
+    code, out, err = run(capsys, ["classify", path])
+    assert (code, out) == (1, "")
+    assert err == "error: relators would hold 1000000 letters, cap is 500000\n"
+    path = explicit_rep_file(tmp_path, ["a^250000"] * 2, [["1", "0"], ["0", "1"]])
+    assert run(capsys, ["classify", path])[0] == 0
 
 
 @pytest.mark.parametrize("genus", [10**6, 10**8])

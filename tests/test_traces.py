@@ -348,6 +348,25 @@ def test_term_budget(monkeypatch):
     assert not traces._WORDS
 
 
+def test_term_budget_boundary_is_pinned():
+    # the exact boundary of the single-letter pass, with empty caches and
+    # in reverse order over warm tables; the pair pass overflows from a^1107
+    # on, so a pair pass that decided would refuse a^1622 and (a b')^93
+    cases = [("a^1622", 1, True), ("a^1623", 1, False),
+             ("(a b')^93", 2, True), ("(a b')^94", 2, False)]
+    empty_trace_caches()
+    for order in (cases, cases[::-1]):
+        traces._WORDS.clear()
+        for text, rank, passes in order:
+            w = parse_word(text, Presentation.free(rank))
+            if passes:
+                trace_polynomial(w, rank)
+            else:
+                with pytest.raises(CapExceededError):
+                    trace_polynomial(w, rank)
+        assert traces._TABLES
+
+
 def test_caches_are_emptied_past_their_limit(monkeypatch):
     # the tables and the whole-word cache count the terms they hold and are
     # emptied before a computing call once past the limit; no text changes
