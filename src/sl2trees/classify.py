@@ -32,7 +32,7 @@ from .traces import FundamentalTraceVector, fundamental_traces, subset_products
 from .tree import TreeVertex, act
 from .words import (
     DEFAULT_WORD_CAP, Presentation, Word, _trusted_word, ball_levels, ball_size,
-    check_size, scaled_image, sphere_sizes, word_to_text)
+    check_size, scaled_image, sphere_sizes, word_excerpt)
 
 Line = Tuple[int, int]
 
@@ -60,11 +60,9 @@ class Representation:
         object.__setattr__(self, "_letters", letter_table(self.matrices))
         for relator in presentation.relators:
             a, b, c, d, den = checked(scaled_image(relator, self._letters))
-            if (a, b, c, d) != (den, 0, 0, den):  # quote a prefix, not the whole text
-                shown = word_to_text(Word(relator.letters[:20]), presentation)
-                if len(relator) > 20:
-                    shown += f" ... ({len(relator)} letters)"
-                raise ValidationError(f"relator does not evaluate to the identity: {shown}")
+            if (a, b, c, d) != (den, 0, 0, den):
+                raise ValidationError("relator does not evaluate to the identity: "
+                                      + word_excerpt(relator, presentation))
 
     @property
     def context(self) -> PrimeContext:

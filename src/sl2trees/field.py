@@ -144,7 +144,7 @@ class ValuedRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.context.p))
+        return hash(self.value)  # equal ints and Fractions hash alike
 
     def __str__(self):
         return str(self.value)

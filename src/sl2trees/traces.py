@@ -9,6 +9,7 @@ x_j x_i = -x_i x_j + t_i x_j + t_j x_i + t_ij - t_i t_j; tr x_S = t_S and
 tr 1 = 2 close it.  The pass takes two letters per step through cached
 pair tables; if that overflows the term budget, the word is passed again
 one letter at a time, which never charges more, and that pass decides.
+A cancelled term stays in its state as a 0 until the next step skips it.
 No coefficient holds a t_S with |S| >= 3, so at rank 3 the result is the
 unique polynomial of degree <= 1 in t123; at rank >= 4 the key fixes it.
 Caches never change an output, and a term budget per call bounds time
@@ -33,7 +34,7 @@ from .words import Word, _cyclic_reduce_letters
 
 VarKey = Tuple[int, ...]        # strictly increasing generator indices
 Monomial = Tuple[VarKey, ...]   # sorted variable factors
-Packed = Dict[int, int]         # packed monomial -> nonzero coefficient
+Packed = Dict[int, int]         # packed monomial -> coefficient
 
 _W = 16                       # bits per exponent; words stay shorter than
 _EXP_LIMIT = 1 << (_W - 1)    # this, so a field's top bit is never set
@@ -50,10 +51,6 @@ def _decode(mono: int) -> Monomial:
     for k in range((mono.bit_length() + _W - 1) // _W):
         factors += [names[k]] * ((mono >> (_W * k)) & _FIELD)
     return tuple(sorted(factors, key=_var_order))
-
-
-def _clean(acc: Packed) -> Packed:
-    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def _var_order(s: VarKey) -> Tuple[int, VarKey]:
@@ -96,8 +93,8 @@ class TracePolynomial:
         if not isinstance(other, int):
             return NotImplemented
         out = dict(self._terms)
-        out[0] = out.get(0, 0) + other
-        return TracePolynomial._of(_clean(out))
+        c = out.pop(0, 0) + other
+        return TracePolynomial._of({**out, 0: c} if c else out)
 
     def evaluate(self, values: Mapping[VarKey, object]):
         """Plug exact values in for the variables; stays exact.
@@ -158,12 +155,13 @@ class TracePolynomial:
 TERM_BUDGET = 2_000_000  # terms one call may write or read
 
 # An element is one dict: x^m x_S is the key (m << B) | S, B the largest
-# letter, so x_S -> c x^shift x_T adds the delta (shift << B) + T - S.  A
-# table (B, letters) maps S to the deltas of letters * x_S and the cost of
-# their build, charged again on every read; letter 0 is the trace.  A pair
-# entry is built by its two single-letter steps on one term, so a read
-# charges no less than they do on that term; the single-letter pass also
-# merges like terms between the two letters.
+# letter, so x_S -> c x^shift x_T adds the delta (shift << B) + T - S; a
+# cancelled term stays as a 0, skipped free of charge.  A table (B, letters)
+# maps S to the deltas of letters * x_S and their read charge, their count
+# plus their build's cost, which every read pays; letter 0 is the trace.
+# A pair entry is built by its two single-letter steps on one term, so a
+# read charges no less than they do on that term; the single-letter pass
+# also merges like terms between the two letters.
 Table = Tuple[int, Tuple[int, ...]]
 _TABLES: Dict[Table, Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]]] = {}
 _WORDS: Dict[Tuple[int, ...], Packed] = {}  # canonical key -> its trace
@@ -190,12 +188,14 @@ def _canonical_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _apply(state: Packed, table: Table, budget: List[int]) -> Packed:
-    """Each term of the state times its entry.  A term charges the entry's
-    length, plus its cost on a hit; a miss charges the build instead."""
+    """Each nonzero term of the state times its entry, charging the entry's
+    read charge; on a miss the build and the entry's length pay it."""
     (b, letters), entries = table, _TABLES.setdefault(table, {})
     mask, new, left = (1 << b) - 1, {}, budget[0]
     get = new.get
     for key, v in state.items():
+        if not v:
+            continue
         s = key & mask
         hit = entries.get(s)
         if hit is None:
@@ -207,19 +207,17 @@ def _apply(state: Packed, table: Table, budget: List[int]) -> Packed:
                 out = _row(b, letters[0], s, budget)
             else:  # tr x_S = t_S, tr 1 = 2
                 out = {_var(tuple(i + 1 for i in range(b) if s >> i & 1)) << b: 1} if s else {0: 2}
-            hit = entries[s] = tuple((k - s, c) for k, c in out.items() if c), left - budget[0]
-            _HELD[0] += len(hit[0])
-            left = budget[0]
-        else:
-            left -= hit[1]
-        left -= len(hit[0])
+            deltas = tuple((k - s, c) for k, c in out.items() if c)
+            hit = entries[s] = deltas, left - budget[0] + len(deltas)
+            _HELD[0] += len(deltas)
+        left -= hit[1]
         if left < 0:
             raise CapExceededError(f"the trace pass needs more than {TERM_BUDGET} terms")
         for d, c in hit[0]:
             d += key
             new[d] = get(d, 0) + c * v
     budget[0] = left
-    return _clean(new)
+    return new
 
 
 def _row(b: int, x: int, s: int, budget: List[int]) -> Packed:
@@ -274,7 +272,7 @@ def trace_polynomial(w: Word, rank: int) -> TracePolynomial:
             except CapExceededError:
                 if step == 1:
                     raise
-        poly = _WORDS[key] = {k >> b: c for k, c in state.items()}
+        poly = _WORDS[key] = {k >> b: c for k, c in state.items() if c}
         _HELD[0] += len(poly)
     return TracePolynomial._of(poly)
 

@@ -200,7 +200,7 @@ class Presentation:
             return f"free({self.rank})"
         if self.kind == "surface":
             return f"surface({self.genus})"
-        rels = "; ".join(word_to_text(r, self) for r in self.relators)
+        rels = "; ".join(word_excerpt(r, self) for r in self.relators)
         return f"explicit({', '.join(self.generators)} | {rels})"
 
 
@@ -295,6 +295,12 @@ def word_texts(ws: Iterable[Tuple[int, ...]], presentation: Presentation) -> Ite
 def word_to_text(w: Word, presentation: Presentation) -> str:
     """Canonical text of one word."""
     return next(word_texts((w.letters,), presentation))
+
+
+def word_excerpt(w: Word, presentation: Presentation) -> str:
+    """A word's text cut at 20 letters, with its length if it is longer."""
+    text = word_to_text(Word(w.letters[:20]), presentation)
+    return text if len(w) <= 20 else f"{text} ... ({len(w)} letters)"
 
 
 # -- evaluation ---------------------------------------------------------

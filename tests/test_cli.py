@@ -565,6 +565,14 @@ def test_failing_relator_is_quoted_by_a_prefix(capsys, tmp_path):
     assert len(err.encode()) < 200
 
 
+def test_accepted_relator_is_echoed_by_a_prefix(capsys, tmp_path):
+    # the presentation line of a 137-byte file held the whole relator
+    path = explicit_rep_file(tmp_path, ["a^500000"], [["1", "0"], ["0", "1"]])
+    code, out, err = run(capsys, ["classify", path])
+    assert (code, err) == (0, "") and len(out.encode()) < 1024
+    assert '\npresentation="explicit(a | ' + "a " * 20 + '... (500000 letters))"\n' in out
+
+
 def test_explicit_relators_share_one_letter_cap(capsys, tmp_path):
     # each relator under the cap on its own, 8 million letters together
     path = explicit_rep_file(tmp_path, ["a^500000"] * 16, [["1", "0"], ["0", "1"]])

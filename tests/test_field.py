@@ -150,6 +150,9 @@ def test_valued_rational_equality_and_hash():
     assert ValuedRational(2, ctx) == Fraction(2)
     assert hash(ValuedRational(2, ctx)) == hash(ValuedRational(Fraction(2), ctx))
     assert ValuedRational(2, ctx) != ValuedRational(2, PrimeContext(5))
+    v = ValuedRational(2, ctx)
+    assert hash(v) == hash(2) and 2 in {v} and v in {2}
+    assert hash(ValuedRational(Fraction(1, 3), ctx)) == hash(Fraction(1, 3))
 
 
 def test_is_integral_and_is_unit():
